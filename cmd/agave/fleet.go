@@ -55,8 +55,9 @@ func fleetRunLine(cfgRaw json.RawMessage, spec suite.RunSpec) (fleet.Line, error
 // fleetCmd executes the fleet subcommand. Worker mode reads a shard
 // envelope from stdin and streams result lines to stdout; coordinator mode
 // builds the plan (identically to the suite subcommand), shards it, and
-// either runs it serially in-process (-workers 0) or dispatches worker
-// subprocesses. The rendered report is byte-identical across all of these.
+// runs the shards through fleet.Run — in this process, one at a time, for
+// -workers 0, or in that many worker subprocesses. The rendered report is
+// byte-identical across all of these.
 func fleetCmd(stdout, stderr io.Writer, cfg core.Config, ff fleetFlags, pf planFlags) int {
 	if ff.worker {
 		if err := fleet.RunWorker(os.Stdin, stdout, fleetRunLine); err != nil {
@@ -89,21 +90,16 @@ func fleetCmd(stdout, stderr io.Writer, cfg core.Config, ff fleetFlags, pf planF
 	}
 	spec := &fleet.Spec{Config: cfgRaw, Plan: wirePlan, ShardSize: ff.shardSize}
 
-	var rep *fleet.Report
-	if ff.workers == 0 {
-		rep, err = fleet.RunSerial(spec, fleet.SerialOptions{
-			Checkpoint: ff.checkpoint,
-			Progress:   stderr,
-			Run:        fleetRunLine,
-		})
-	} else {
-		rep, err = fleet.Run(spec, fleet.Options{
-			Workers:    ff.workers,
-			Command:    fleetWorkerCommand,
-			Checkpoint: ff.checkpoint,
-			Progress:   stderr,
-		})
+	opts := fleet.Options{
+		Workers:    ff.workers,
+		Run:        fleetRunLine,
+		Checkpoint: ff.checkpoint,
+		Progress:   stderr,
 	}
+	if ff.workers > 0 {
+		opts.Command = fleetWorkerCommand
+	}
+	rep, err := fleet.Run(spec, opts)
 	if err != nil {
 		fmt.Fprintln(stderr, "agave fleet:", err)
 		return 1

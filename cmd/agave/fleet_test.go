@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
@@ -243,6 +244,76 @@ func TestFleetFlagValidation(t *testing.T) {
 		code, _, errOut := invoke(t, tc.args...)
 		if code != 2 || !strings.Contains(errOut, tc.want) {
 			t.Errorf("%s: code=%d stderr=%q (want %q)", tc.name, code, errOut, tc.want)
+		}
+	}
+}
+
+// TestSuiteSummariesMatchFleetCells is the cross-pipeline conformance test:
+// for one plan, every metric aggregate of the suite report must equal the
+// matching cell of the in-process fleet report — mean == sum/n, min and max
+// equal — so the two pipelines cannot drift apart.
+func TestSuiteSummariesMatchFleetCells(t *testing.T) {
+	plan := []string{"-bench", "countdown.main", "-scenarios", "memory-storm", "-seeds", "1,2", "-ablations"}
+	args := func(cmd string, extra ...string) []string {
+		return append(append(append([]string{cmd}, plan...), quick...), extra...)
+	}
+	code, suiteOut, errOut := invoke(t, args("suite", "-json")...)
+	if code != 0 {
+		t.Fatalf("suite: code=%d stderr=%q", code, errOut)
+	}
+	code, fleetOut, errOut := invoke(t, args("fleet", "-workers", "0", "-json")...)
+	if code != 0 {
+		t.Fatalf("fleet: code=%d stderr=%q", code, errOut)
+	}
+	var sdoc struct {
+		Summaries []struct {
+			Benchmark string                        `json:"benchmark"`
+			Ablation  string                        `json:"ablation"`
+			Seeds     []uint64                      `json:"seeds"`
+			Metrics   map[string]map[string]float64 `json:"metrics"`
+		} `json:"summaries"`
+	}
+	var fdoc struct {
+		Cells []struct {
+			Unit     string `json:"unit"`
+			Ablation string `json:"ablation"`
+			Runs     int    `json:"runs"`
+			Metrics  []struct {
+				Name string  `json:"name"`
+				N    int     `json:"n"`
+				Sum  float64 `json:"sum"`
+				Min  float64 `json:"min"`
+				Max  float64 `json:"max"`
+			} `json:"metrics"`
+		} `json:"cells"`
+	}
+	if err := json.Unmarshal([]byte(suiteOut), &sdoc); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal([]byte(fleetOut), &fdoc); err != nil {
+		t.Fatal(err)
+	}
+	if len(sdoc.Summaries) != 2*3 || len(fdoc.Cells) != len(sdoc.Summaries) {
+		t.Fatalf("suite has %d summaries, fleet %d cells; want 6 each", len(sdoc.Summaries), len(fdoc.Cells))
+	}
+	for i, s := range sdoc.Summaries {
+		c := fdoc.Cells[i]
+		if s.Benchmark != c.Unit || s.Ablation != c.Ablation || len(s.Seeds) != c.Runs {
+			t.Fatalf("cell %d: suite %s/%s (%d seeds) vs fleet %s/%s (%d runs)",
+				i, s.Benchmark, s.Ablation, len(s.Seeds), c.Unit, c.Ablation, c.Runs)
+		}
+		if len(s.Metrics) != len(c.Metrics) {
+			t.Fatalf("%s/%s: suite has %d metrics, fleet %d", c.Unit, c.Ablation, len(s.Metrics), len(c.Metrics))
+		}
+		for _, m := range c.Metrics {
+			a, ok := s.Metrics[m.Name]
+			if !ok {
+				t.Fatalf("%s/%s: suite summary lacks metric %q", c.Unit, c.Ablation, m.Name)
+			}
+			if m.N != c.Runs || a["mean"] != m.Sum/float64(m.N) || a["min"] != m.Min || a["max"] != m.Max {
+				t.Errorf("%s/%s %s: suite mean/min/max %v/%v/%v, fleet sum/n/min/max %v/%d/%v/%v",
+					c.Unit, c.Ablation, m.Name, a["mean"], a["min"], a["max"], m.Sum, m.N, m.Min, m.Max)
+			}
 		}
 	}
 }

@@ -117,7 +117,7 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	benchList := fs.String("bench", "", "comma-separated benchmark subset")
 	noJIT := fs.Bool("nojit", false, "disable the trace JIT")
 	dirtyRect := fs.Bool("dirtyrect", false, "dirty-rect composition")
-	parallel := fs.Int("parallel", 0, "suite worker pool size (0 = all cores)")
+	parallel := fs.Int("parallel", 0, "suite and scenario worker pool size (0 = all cores)")
 	seedList := fs.String("seeds", "", "comma-separated seed axis of the suite matrix")
 	ablations := fs.Bool("ablations", false, "add nojit and dirtyrect ablations to the matrix")
 	scenarioList := fs.String("scenarios", "", "comma-separated scenarios to add to the suite matrix")
@@ -258,6 +258,10 @@ func Main(args []string, stdout, stderr io.Writer) int {
 				return 2
 			}
 		}
+	}
+	if cmd != "suite" && cmd != "scenario" && setFlags["parallel"] {
+		fmt.Fprintf(stderr, "agave %s: -parallel applies to the suite and scenario subcommands\n", cmd)
+		return 2
 	}
 	if cmd != "fleet" {
 		for _, f := range []string{"workers", "shard-size", "checkpoint", "worker"} {

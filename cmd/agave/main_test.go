@@ -631,6 +631,14 @@ func TestCrossSubcommandScenarioFlagsRejected(t *testing.T) {
 			"-gen-apps requires -gen-scenarios"},
 		{"gen seed without count", []string{"suite", "-bench", "countdown.main", "-gen-seed", "4"},
 			"-gen-seed requires -gen-scenarios"},
+		{"fleet -parallel", fleetArgs("-parallel", "4"),
+			"-parallel applies to the suite and scenario subcommands"},
+		{"all -parallel", []string{"all", "-parallel", "4"},
+			"-parallel applies to the suite and scenario subcommands"},
+		{"run -parallel", []string{"run", "countdown.main", "-parallel", "2"},
+			"-parallel applies to the suite and scenario subcommands"},
+		{"fig1 -parallel at default", []string{"fig1", "-parallel", "0"},
+			"-parallel applies to the suite and scenario subcommands"},
 	}
 	for _, tc := range cases {
 		code, _, errOut := invoke(t, tc.args...)

@@ -14,10 +14,11 @@
 // inventory and layer map.
 //
 // Suite sweeps — the cross product of benchmarks × seeds × ablations — run
-// on the parallel execution engine in internal/suite: runs are sharded
-// across a bounded worker pool (each run boots its own simulated machine),
-// collected in deterministic plan order, and folded into mean/min/max
-// summaries across seeds. Results are bit-identical to a serial run of the
-// same plan; `agave suite -parallel N` and core.RunSuiteParallel expose the
-// engine, and core.RunSuite delegates to it with one worker.
+// on the one dispatch pool in internal/suite: runs are spread across a
+// bounded worker pool (each run boots its own simulated machine), land in
+// deterministic plan order, and fold into mean/min/max summaries across
+// seeds. Results are bit-identical to a serial run of the same plan;
+// `agave suite -parallel N` and core.RunPlan expose the pool, and
+// core.RunSuite runs through it with one worker. The fleet executor in
+// internal/fleet dispatches its shards through the same pool.
 package agave

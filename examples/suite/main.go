@@ -1,6 +1,6 @@
 // Suite: execute a run matrix — benchmarks × seeds × ablations — on the
-// parallel suite engine, stream results in deterministic plan order as they
-// complete, and fold the repeated seeds into mean/min/max summaries.
+// parallel suite pool, print each run in deterministic plan order once the
+// sweep returns, and fold the repeated seeds into mean/min/max summaries.
 package main
 
 import (
@@ -35,17 +35,16 @@ func main() {
 		},
 	}
 
-	// The engine shards runs across one worker per core; the ordered
-	// collector still emits them in plan order, so this stream — and every
-	// result below — is bit-identical to a serial run.
-	eng := core.NewEngine(cfg, 0)
-	eng.OnResult = func(o suite.RunOutput[*core.Result]) {
-		fmt.Printf("done %-40s %8.1f ms wall, %6.0f Mticks/s\n",
-			o.Spec, float64(o.Wall.Microseconds())/1000, o.TicksPerSecond()/1e6)
-	}
-	outputs, err := eng.Execute(plan.Specs())
+	// The suite pool runs one worker per core; every output still lands at
+	// its plan position, so the rows below — and every result — are
+	// bit-identical to a serial run.
+	outputs, err := core.RunPlan(cfg, plan, 0)
 	if err != nil {
 		log.Fatal(err)
+	}
+	for _, o := range outputs {
+		fmt.Printf("done %-40s %8.1f ms wall, %6.0f Mticks/s\n",
+			o.Spec, float64(o.Wall.Microseconds())/1000, o.TicksPerSecond()/1e6)
 	}
 
 	fmt.Println()

@@ -12,6 +12,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"agave/internal/android"
 	"agave/internal/apps"
@@ -229,10 +230,10 @@ func (cfg Config) forSpec(s suite.RunSpec) Config {
 	return out
 }
 
-// RunOne executes one plan spec on a fresh simulated machine: the spec's
-// seed and ablation are applied on top of base exactly as the suite engine's
-// workers do, so a spec run through RunOne — in this process or a fleet
-// worker subprocess — yields the bit-identical result a serial plan sweep
+// RunOne executes one plan spec on a fresh simulated machine, with the
+// spec's seed and ablation applied on top of base. RunPlan and fleet runs
+// both execute specs through it, so a spec run in this process or in a fleet
+// worker subprocess yields the bit-identical result a serial plan sweep
 // would have produced at the same plan position.
 func RunOne(base Config, s suite.RunSpec) (*Result, sim.Ticks, error) {
 	cfg := base.forSpec(s)
@@ -257,23 +258,31 @@ func RunOne(base Config, s suite.RunSpec) (*Result, sim.Ticks, error) {
 	return r, ticks, nil
 }
 
-// NewEngine builds a suite engine that executes core benchmarks and
-// scenarios: each run boots a fresh simulated machine configured from base
-// plus the spec's seed and ablation. parallel bounds the worker pool (<= 0
-// means GOMAXPROCS).
-func NewEngine(base Config, parallel int) suite.Engine[*Result] {
-	return suite.Engine[*Result]{
-		Parallel: parallel,
-		Run: func(s suite.RunSpec) (*Result, sim.Ticks, error) {
-			return RunOne(base, s)
-		},
-	}
-}
-
-// RunPlan executes a full run matrix through the suite engine and returns
-// the outputs in plan order.
+// RunPlan executes a full run matrix on the suite dispatch pool — parallel
+// bounds the workers (<= 0 means GOMAXPROCS) — and returns the outputs in
+// plan order. Each run boots a fresh simulated machine configured from base
+// plus the spec's seed and ablation. If any run fails, dispatch stops and
+// the first failure in plan order is returned as a *suite.RunError
+// alongside the outputs gathered so far.
 func RunPlan(base Config, p suite.Plan, parallel int) ([]suite.RunOutput[*Result], error) {
-	return NewEngine(base, parallel).Execute(p.Specs())
+	specs := p.Specs()
+	outputs := make([]suite.RunOutput[*Result], len(specs))
+	err := suite.Each(len(specs), parallel, func(i int) error {
+		start := time.Now() //agave:allow walltime Wall is operator-facing elapsed time, reported alongside the deterministic tick count, never fed back into the simulation
+		r, ticks, err := RunOne(base, specs[i])
+		outputs[i] = suite.RunOutput[*Result]{
+			Spec:   specs[i],
+			Result: r,
+			Err:    err,
+			Wall:   time.Since(start), //agave:allow walltime same display-only measurement as the paired time.Now above
+			Ticks:  ticks,
+		}
+		if err != nil {
+			return &suite.RunError{Spec: specs[i], Err: err}
+		}
+		return nil
+	})
+	return outputs, err
 }
 
 // SuiteMetrics extracts the scalar metrics the suite summaries aggregate
@@ -304,24 +313,15 @@ func SuiteMetrics(r *Result) map[string]float64 {
 	return m
 }
 
-// RunSuite runs the named benchmarks (all of them when names is empty) and
-// returns results in order. Each run uses a fresh simulated machine. It
-// delegates to the suite engine with one worker, so behavior is exactly the
-// historical serial loop; use RunSuiteParallel to fan out.
+// RunSuite runs the named benchmarks (all of them when names is empty)
+// serially and returns results in order. Each run uses a fresh simulated
+// machine.
 func RunSuite(cfg Config, names ...string) ([]*Result, error) {
-	return RunSuiteParallel(cfg, 1, names...)
-}
-
-// RunSuiteParallel runs the named benchmarks (all of them when names is
-// empty) across up to parallel workers and returns results in name order —
-// bit-identical to the serial run, since every run is share-nothing and
-// seeded. parallel <= 0 uses GOMAXPROCS.
-func RunSuiteParallel(cfg Config, parallel int, names ...string) ([]*Result, error) {
 	if len(names) == 0 {
 		names = SuiteNames()
 	}
 	plan := suite.Plan{Benchmarks: names, Seeds: []uint64{cfg.Seed}}
-	outputs, err := RunPlan(cfg, plan, parallel)
+	outputs, err := RunPlan(cfg, plan, 1)
 	if err != nil {
 		var re *suite.RunError
 		if errors.As(err, &re) {

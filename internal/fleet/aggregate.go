@@ -99,7 +99,9 @@ type Cell struct {
 	Metrics  []MetricAgg `json:"metrics"`
 }
 
-func (c *Cell) observe(metrics []Metric) {
+// Observe folds one run's name-sorted metrics into the cell. It is the one
+// per-run metric fold: fleet shards and suite summaries both go through it.
+func (c *Cell) Observe(metrics []Metric) {
 	c.Runs++
 	for _, m := range metrics {
 		i := sort.Search(len(c.Metrics), func(i int) bool { return c.Metrics[i].Name >= m.Name })
@@ -112,6 +114,16 @@ func (c *Cell) observe(metrics []Metric) {
 		c.Metrics[i] = MetricAgg{Name: m.Name}
 		c.Metrics[i].Agg.Observe(m.Value)
 	}
+}
+
+// Metric reports the cell's aggregate of the named metric, if any run
+// carried it.
+func (c *Cell) Metric(name string) (stats.Agg, bool) {
+	i := sort.Search(len(c.Metrics), func(i int) bool { return c.Metrics[i].Name >= name })
+	if i < len(c.Metrics) && c.Metrics[i].Name == name {
+		return c.Metrics[i].Agg, true
+	}
+	return stats.Agg{}, false
 }
 
 func (c *Cell) merge(other *Cell) {
@@ -243,7 +255,7 @@ func (a *Aggregator) Observe(shard int, raw []byte, line *Line) error {
 	}
 	f.lines++
 	f.digest.AddLine(raw)
-	f.cell(line.Unit, line.Ablation).observe(line.Metrics)
+	f.cell(line.Unit, line.Ablation).Observe(line.Metrics)
 	return nil
 }
 

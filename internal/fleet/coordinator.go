@@ -11,17 +11,23 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"agave/internal/suite"
 )
 
-// Options configures a fleet coordinator run.
+// Options configures a fleet run.
 type Options struct {
-	// Workers is how many worker subprocesses run concurrently. It bounds
+	// Workers bounds how many shards run concurrently. It bounds
 	// concurrency only — shard geometry, and therefore the report, never
 	// depends on it. Values < 1 are treated as 1.
 	Workers int
 	// Command builds one worker subprocess invocation. The coordinator
-	// sets its Stdin (the shard envelope), Stdout, and Stderr.
+	// sets its Stdin (the shard envelope), Stdout, and Stderr. When nil,
+	// shards run in this process through Run instead.
 	Command func() (*exec.Cmd, error)
+	// Run executes one spec when Command is nil. It must be safe for
+	// concurrent calls when Workers > 1.
+	Run RunFunc
 	// Checkpoint, when non-empty, is the journal path: completed shards
 	// append to it, and an existing compatible journal is resumed.
 	Checkpoint string
@@ -67,13 +73,21 @@ func (b *cappedBuffer) String() string {
 // Done — the prefix is part of the wire protocol, not a heuristic.
 var trailerPrefix = []byte(`{"done":true`)
 
-// Run executes the fleet: it shards the spec's plan, dispatches shards to
-// worker subprocesses in shard order, folds their streamed result lines
-// through the aggregator, and returns the final report. On any worker
-// failure it stops dispatching, lets in-flight shards finish (their
-// partials still checkpoint), and returns the error of the smallest failed
-// shard id — the same shard a serial run would have failed at first.
+// Run executes the fleet: it shards the spec's plan and runs every shard
+// not restored from the checkpoint on the suite dispatch pool, in shard
+// order — each in a worker subprocess, or in this process when
+// opts.Command is nil — folding result lines through the aggregator, and
+// returns the final report. On any shard failure it stops dispatching, lets
+// in-flight shards finish (their partials still checkpoint), and returns
+// the error of the smallest failed shard id — the same shard a serial run
+// would have failed at first.
 func Run(spec *Spec, opts Options) (*Report, error) {
+	if spec.ShardSize <= 0 {
+		return nil, fmt.Errorf("fleet: shard size must be positive (got %d)", spec.ShardSize)
+	}
+	if opts.Command == nil && opts.Run == nil {
+		return nil, fmt.Errorf("fleet: options need a worker Command or an in-process Run")
+	}
 	hash, err := spec.Hash()
 	if err != nil {
 		return nil, err
@@ -95,155 +109,153 @@ func Run(spec *Spec, opts Options) (*Report, error) {
 	if restored > 0 && opts.Progress != nil {
 		fmt.Fprintf(opts.Progress, "fleet: resumed %d of %d shards from %s\n", restored, agg.shards, opts.Checkpoint)
 	}
-
-	envBase := Envelope{PlanHash: hash, Spec: *spec}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > agg.shards {
-		workers = agg.shards
+	var todo []int
+	for shard := 0; shard < agg.shards; shard++ {
+		if !agg.Restored(shard) {
+			todo = append(todo, shard)
+		}
 	}
 
-	start := time.Now() //agave:allow walltime coordinator progress reporting is operator-facing; nothing derived from it enters the report or the fingerprint
-	var (
-		mu       sync.Mutex
-		next     int
-		failed   bool
-		errs     = map[int]error{}
-		wg       sync.WaitGroup
-		progress = func(done int) {
-			if opts.Progress == nil {
-				return
-			}
-			elapsed := time.Since(start).Round(time.Millisecond) //agave:allow walltime same display-only measurement as the paired time.Now above
-			fmt.Fprintf(opts.Progress, "fleet: %d/%d shards (%s)\n", done, agg.shards, elapsed)
-		}
-	)
-	runShard := func(shard int) error {
-		env := envBase
-		env.Shard = shard
-		envData, err := json.Marshal(env)
-		if err != nil {
-			return fmt.Errorf("fleet: shard %d: encode envelope: %w", shard, err)
-		}
-		cmd, err := opts.Command()
-		if err != nil {
-			return fmt.Errorf("fleet: shard %d: build worker command: %w", shard, err)
-		}
-		cmd.Stdin = bytes.NewReader(envData)
-		var stderr cappedBuffer
-		cmd.Stderr = &stderr
-		stdout, err := cmd.StdoutPipe()
-		if err != nil {
-			return fmt.Errorf("fleet: shard %d: %w", shard, err)
-		}
-		if err := cmd.Start(); err != nil {
-			return fmt.Errorf("fleet: shard %d: start worker: %w", shard, err)
-		}
-		fail := func(format string, args ...any) error {
-			cmd.Process.Kill()
-			cmd.Wait()
-			msg := fmt.Sprintf(format, args...)
-			if s := stderr.String(); s != "" {
-				msg += "\nworker stderr:\n" + s
-			}
-			return fmt.Errorf("fleet: shard %d: %s", shard, msg)
-		}
-		sc := bufio.NewScanner(stdout)
-		sc.Buffer(make([]byte, 64<<10), 1<<20)
-		var line Line
-		var trailer *Trailer
-		for sc.Scan() {
-			raw := sc.Bytes()
-			if trailer != nil {
-				return fail("trailing garbage after trailer: %.80q", raw)
-			}
-			if bytes.HasPrefix(raw, trailerPrefix) {
-				t := new(Trailer)
-				if err := json.Unmarshal(raw, t); err != nil {
-					return fail("malformed trailer: %v", err)
-				}
-				if t.Shard != shard {
-					return fail("trailer names shard %d", t.Shard)
-				}
-				trailer = t
-				continue
-			}
-			if err := DecodeLine(raw, &line); err != nil {
-				return fail("malformed result line: %v (line: %.80q)", err, raw)
-			}
-			mu.Lock()
-			err := agg.Observe(shard, raw, &line)
-			mu.Unlock()
-			if err != nil {
-				return fail("%v", err)
-			}
-		}
-		if err := sc.Err(); err != nil {
-			return fail("read worker output: %v", err)
-		}
-		if err := cmd.Wait(); err != nil {
-			return fail("worker failed: %v", err)
-		}
-		if trailer == nil {
-			return fail("worker exited without a trailer")
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		p, err := agg.FinishShard(shard, trailer.Lines, trailer.Digest)
-		if err != nil {
-			if s := stderr.String(); s != "" {
-				return fmt.Errorf("%w\nworker stderr:\n%s", err, s)
-			}
-			return err
-		}
-		if cp != nil {
-			if err := cp.Append(p); err != nil {
-				return err
-			}
-		}
-		progress(agg.done + len(agg.pending))
-		return nil
+	c := &coordinator{agg: agg, cp: cp, progress: opts.Progress,
+		start: time.Now()} //agave:allow walltime coordinator progress reporting is operator-facing; nothing derived from it enters the report or the fingerprint
+	var specs []suite.RunSpec
+	if opts.Command == nil {
+		specs = plan.Specs()
 	}
-
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				for next < agg.shards && agg.Restored(next) {
-					next++
-				}
-				if failed || next >= agg.shards {
-					mu.Unlock()
-					return
-				}
-				shard := next
-				next++
-				mu.Unlock()
-				if err := runShard(shard); err != nil {
-					mu.Lock()
-					failed = true
-					errs[shard] = err
-					mu.Unlock()
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	if len(errs) > 0 {
-		shards := make([]int, 0, len(errs))
-		for s := range errs {
-			shards = append(shards, s)
+	runOne := func(shard int) error {
+		if opts.Command != nil {
+			return c.runWorkerShard(spec, hash, shard, opts.Command)
 		}
-		sort.Ints(shards)
-		return nil, errs[shards[0]]
+		lo, hi := suite.ShardRange(total, spec.ShardSize, shard)
+		err := runShard(spec.Config, shard, specs[lo:hi], opts.Run, func(raw []byte, line *Line) error {
+			return c.observe(shard, raw, line)
+		})
+		if err != nil {
+			return fmt.Errorf("fleet: %w", err)
+		}
+		// An in-process shard has no trailer to check against.
+		return c.seal(shard, -1, "")
+	}
+	err = suite.Each(len(todo), max(opts.Workers, 1), func(i int) error { return runOne(todo[i]) })
+	if err != nil {
+		return nil, err
 	}
 	return agg.Report()
+}
+
+// coordinator is the state every shard of a Run folds into; its methods
+// are safe for concurrent shards.
+type coordinator struct {
+	mu       sync.Mutex // guards agg, cp, and progress
+	agg      *Aggregator
+	cp       *Checkpoint
+	progress io.Writer
+	start    time.Time
+}
+
+func (c *coordinator) observe(shard int, raw []byte, line *Line) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.agg.Observe(shard, raw, line)
+}
+
+// seal is the tail every shard shares, in-process or subprocess: verify
+// and merge the shard's partial, journal it, report progress.
+func (c *coordinator) seal(shard, wantLines int, wantDigest string) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	p, err := c.agg.FinishShard(shard, wantLines, wantDigest)
+	if err != nil {
+		return err
+	}
+	if c.cp != nil {
+		if err := c.cp.Append(p); err != nil {
+			return err
+		}
+	}
+	if c.progress != nil {
+		elapsed := time.Since(c.start).Round(time.Millisecond) //agave:allow walltime same display-only measurement as the coordinator's start time
+		fmt.Fprintf(c.progress, "fleet: %d/%d shards (%s)\n", c.agg.done+len(c.agg.pending), c.agg.shards, elapsed)
+	}
+	return nil
+}
+
+// runWorkerShard runs one shard in a worker subprocess: it writes the shard
+// envelope to the worker's stdin, observes each streamed result line,
+// verifies the trailer, and seals the shard against the trailer's line
+// count and digest. Any failure kills the worker and reports the shard id
+// plus the worker's (capped) stderr.
+func (c *coordinator) runWorkerShard(spec *Spec, hash string, shard int, command func() (*exec.Cmd, error)) error {
+	envData, err := json.Marshal(Envelope{PlanHash: hash, Shard: shard, Spec: *spec})
+	if err != nil {
+		return fmt.Errorf("fleet: shard %d: encode envelope: %w", shard, err)
+	}
+	cmd, err := command()
+	if err != nil {
+		return fmt.Errorf("fleet: shard %d: build worker command: %w", shard, err)
+	}
+	cmd.Stdin = bytes.NewReader(envData)
+	var stderr cappedBuffer
+	cmd.Stderr = &stderr
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		return fmt.Errorf("fleet: shard %d: %w", shard, err)
+	}
+	if err := cmd.Start(); err != nil {
+		return fmt.Errorf("fleet: shard %d: start worker: %w", shard, err)
+	}
+	fail := func(format string, args ...any) error {
+		cmd.Process.Kill()
+		cmd.Wait()
+		msg := fmt.Sprintf(format, args...)
+		if s := stderr.String(); s != "" {
+			msg += "\nworker stderr:\n" + s
+		}
+		return fmt.Errorf("fleet: shard %d: %s", shard, msg)
+	}
+	sc := bufio.NewScanner(stdout)
+	sc.Buffer(make([]byte, 64<<10), 1<<20)
+	var line Line
+	var trailer *Trailer
+	for sc.Scan() {
+		raw := sc.Bytes()
+		if trailer != nil {
+			return fail("trailing garbage after trailer: %.80q", raw)
+		}
+		if bytes.HasPrefix(raw, trailerPrefix) {
+			t := new(Trailer)
+			if err := json.Unmarshal(raw, t); err != nil {
+				return fail("malformed trailer: %v", err)
+			}
+			if t.Shard != shard {
+				return fail("trailer names shard %d", t.Shard)
+			}
+			trailer = t
+			continue
+		}
+		if err := DecodeLine(raw, &line); err != nil {
+			return fail("malformed result line: %v (line: %.80q)", err, raw)
+		}
+		if err := c.observe(shard, raw, &line); err != nil {
+			return fail("%v", err)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return fail("read worker output: %v", err)
+	}
+	if err := cmd.Wait(); err != nil {
+		return fail("worker failed: %v", err)
+	}
+	if trailer == nil {
+		return fail("worker exited without a trailer")
+	}
+	if err := c.seal(shard, trailer.Lines, trailer.Digest); err != nil {
+		if s := stderr.String(); s != "" {
+			return fmt.Errorf("%w\nworker stderr:\n%s", err, s)
+		}
+		return err
+	}
+	return nil
 }
 
 // prepareCheckpoint opens or creates the journal at path (empty path means

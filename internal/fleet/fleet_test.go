@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"agave/internal/scenario"
@@ -94,6 +95,59 @@ func reportJSON(t *testing.T, r *Report) []byte {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// referenceReport folds the spec's plan through a plain serial loop over
+// the aggregator: no dispatch pool, no shard loop, no checkpoint. The
+// executor tests compare Run against it, so they test Run's dispatch
+// against code that shares none of it.
+func referenceReport(t *testing.T, spec *Spec) *Report {
+	t.Helper()
+	hash, err := spec.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := spec.Plan.SuitePlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := plan.Specs()
+	agg := NewAggregator(len(specs), spec.ShardSize, hash)
+	for shard := 0; shard < suite.NumShards(len(specs), spec.ShardSize); shard++ {
+		lo, hi := suite.ShardRange(len(specs), spec.ShardSize, shard)
+		for _, s := range specs[lo:hi] {
+			line, err := syntheticRun(spec.Config, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := line.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := agg.Observe(shard, raw, &line); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := agg.FinishShard(shard, -1, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := agg.Report()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// inProcess runs the fleet in this process on the synthetic engine.
+func inProcess(t *testing.T, spec *Spec, opts Options) *Report {
+	t.Helper()
+	opts.Run = syntheticRun
+	r, err := Run(spec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 func TestWirePlanRoundTrip(t *testing.T) {
@@ -186,18 +240,21 @@ func TestRunWorkerProtocol(t *testing.T) {
 }
 
 // TestCoordinatorMatchesSerial is the package-level equivalence conformance
-// check: the subprocess fleet at 1, 2, and 8 workers must reproduce the
-// serial in-process report byte for byte — fingerprint, float aggregates,
-// everything.
+// check: the fleet — in-process or in subprocesses, at any worker count —
+// must reproduce the plain serial fold byte for byte: fingerprint, float
+// aggregates, everything.
 func TestCoordinatorMatchesSerial(t *testing.T) {
 	spec := testSpec(t, 5)
-	serial, err := RunSerial(spec, SerialOptions{Run: syntheticRun})
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := referenceReport(t, spec)
 	want := reportJSON(t, serial)
 	if serial.Runs != 24 || serial.Shards != 5 {
 		t.Fatalf("serial report: runs %d shards %d", serial.Runs, serial.Shards)
+	}
+	for _, workers := range []int{0, 2} {
+		got := inProcess(t, spec, Options{Workers: workers})
+		if data := reportJSON(t, got); !bytes.Equal(data, want) {
+			t.Errorf("in-process workers=%d report differs from serial:\n%s\nwant:\n%s", workers, data, want)
+		}
 	}
 	for _, workers := range []int{1, 2, 8} {
 		got, err := Run(spec, Options{Workers: workers, Command: fakeWorkerCommand})
@@ -210,19 +267,24 @@ func TestCoordinatorMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNonPositiveShardSize: a plan sliced into zero-size shards
+// has no shards at all, so Run must refuse it rather than report zero runs.
+func TestRunRejectsNonPositiveShardSize(t *testing.T) {
+	for _, size := range []int{0, -3} {
+		r, err := Run(testSpec(t, size), Options{Workers: 1, Command: fakeWorkerCommand})
+		if err == nil || !strings.Contains(err.Error(), "shard size must be positive") {
+			t.Fatalf("shard size %d: report %+v, err %v", size, r, err)
+		}
+	}
+}
+
 // TestShardSizeChangesReportNotFingerprint pins the two halves of the
 // determinism contract: the fingerprint is geometry-free (any shard size
 // yields the same digest), while the full report is pinned only per shard
 // size (the header records it).
 func TestShardSizeChangesReportNotFingerprint(t *testing.T) {
-	r5, err := RunSerial(testSpec(t, 5), SerialOptions{Run: syntheticRun})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r7, err := RunSerial(testSpec(t, 7), SerialOptions{Run: syntheticRun})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r5 := inProcess(t, testSpec(t, 5), Options{})
+	r7 := inProcess(t, testSpec(t, 7), Options{})
 	if r5.Fingerprint != r7.Fingerprint {
 		t.Fatalf("fingerprint depends on shard size: %s vs %s", r5.Fingerprint, r7.Fingerprint)
 	}
@@ -233,10 +295,7 @@ func TestShardSizeChangesReportNotFingerprint(t *testing.T) {
 
 func TestSerialCheckpointResume(t *testing.T) {
 	spec := testSpec(t, 5)
-	uninterrupted, err := RunSerial(spec, SerialOptions{Run: syntheticRun})
-	if err != nil {
-		t.Fatal(err)
-	}
+	uninterrupted := referenceReport(t, spec)
 	cp := filepath.Join(t.TempDir(), "fleet.ckpt")
 	// First attempt dies at spec 12 (shard 2), after shards 0 and 1
 	// journaled.
@@ -246,14 +305,11 @@ func TestSerialCheckpointResume(t *testing.T) {
 		}
 		return syntheticRun(cfg, s)
 	}
-	if _, err := RunSerial(spec, SerialOptions{Checkpoint: cp, Run: bomb}); err == nil {
-		t.Fatal("interrupted run did not fail")
+	if _, err := Run(spec, Options{Checkpoint: cp, Run: bomb}); err == nil || !strings.Contains(err.Error(), "fleet: shard 2") {
+		t.Fatalf("interrupted run did not fail at shard 2: %v", err)
 	}
 	var progress bytes.Buffer
-	resumed, err := RunSerial(spec, SerialOptions{Checkpoint: cp, Progress: &progress, Run: syntheticRun})
-	if err != nil {
-		t.Fatal(err)
-	}
+	resumed := inProcess(t, spec, Options{Checkpoint: cp, Progress: &progress})
 	if !bytes.Equal(reportJSON(t, resumed), reportJSON(t, uninterrupted)) {
 		t.Fatalf("resumed report differs:\n%s\nwant:\n%s", reportJSON(t, resumed), reportJSON(t, uninterrupted))
 	}
@@ -267,10 +323,7 @@ func TestSerialCheckpointResume(t *testing.T) {
 // to match an uninterrupted run exactly.
 func TestCoordinatorWorkerCrashResume(t *testing.T) {
 	spec := testSpec(t, 5)
-	uninterrupted, err := RunSerial(spec, SerialOptions{Run: syntheticRun})
-	if err != nil {
-		t.Fatal(err)
-	}
+	uninterrupted := referenceReport(t, spec)
 	dir := t.TempDir()
 	cp := filepath.Join(dir, "fleet.ckpt")
 	exe, err := os.Executable()
@@ -371,10 +424,7 @@ func TestCoordinatorTrailingGarbage(t *testing.T) {
 }
 
 func TestReportExcludesExecutionDetails(t *testing.T) {
-	r, err := RunSerial(testSpec(t, 5), SerialOptions{Run: syntheticRun})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := inProcess(t, testSpec(t, 5), Options{})
 	var decoded map[string]any
 	if err := json.Unmarshal(reportJSON(t, r), &decoded); err != nil {
 		t.Fatal(err)

@@ -34,8 +34,8 @@ type Trailer struct {
 type RunFunc func(cfg json.RawMessage, spec suite.RunSpec) (Line, error)
 
 // RunWorker is the worker-mode entry point: it decodes the shard envelope
-// from stdin, executes the shard's specs serially in plan order via run,
-// and streams one canonical JSON line per spec plus the trailer to stdout.
+// from stdin, executes the shard's specs through the shared shard loop, and
+// streams one canonical JSON line per spec plus the trailer to stdout.
 // Any error aborts the stream — the coordinator sees a non-zero exit and a
 // missing trailer, never a silently short shard.
 func RunWorker(stdin io.Reader, stdout io.Writer, run RunFunc) error {
@@ -64,22 +64,15 @@ func RunWorker(stdin io.Reader, stdout io.Writer, run RunFunc) error {
 
 	out := bufio.NewWriter(stdout)
 	var digest Digest
-	for _, spec := range specs[lo:hi] {
-		line, err := run(env.Spec.Config, spec)
-		if err != nil {
-			return fmt.Errorf("fleet worker: shard %d: %s: %w", env.Shard, spec, err)
-		}
-		if line.Index != spec.Index {
-			return fmt.Errorf("fleet worker: shard %d: run returned index %d for spec %d", env.Shard, line.Index, spec.Index)
-		}
-		raw, err := line.Encode()
-		if err != nil {
-			return fmt.Errorf("fleet worker: shard %d: encode line %d: %w", env.Shard, spec.Index, err)
-		}
+	err = runShard(env.Spec.Config, env.Shard, specs[lo:hi], run, func(raw []byte, _ *Line) error {
 		digest.AddLine(raw)
 		if _, err := out.Write(append(raw, '\n')); err != nil {
-			return fmt.Errorf("fleet worker: shard %d: write line: %w", env.Shard, err)
+			return fmt.Errorf("shard %d: write line: %w", env.Shard, err)
 		}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("fleet worker: %w", err)
 	}
 	trailer, err := json.Marshal(Trailer{Done: true, Shard: env.Shard, Lines: hi - lo, Digest: digest.Hex()})
 	if err != nil {
@@ -89,4 +82,29 @@ func RunWorker(stdin io.Reader, stdout io.Writer, run RunFunc) error {
 		return fmt.Errorf("fleet worker: shard %d: write trailer: %w", env.Shard, err)
 	}
 	return out.Flush()
+}
+
+// runShard is the shard loop shared by worker subprocesses and in-process
+// fleets: it runs one shard's specs serially in plan order, checks that
+// each result line carries its spec's plan index, and hands the line's
+// canonical wire bytes and parsed form to emit. Errors name the shard but
+// not the executor; callers add their own prefix.
+func runShard(cfg json.RawMessage, shard int, specs []suite.RunSpec, run RunFunc, emit func(raw []byte, line *Line) error) error {
+	for _, spec := range specs {
+		line, err := run(cfg, spec)
+		if err != nil {
+			return fmt.Errorf("shard %d: %s: %w", shard, spec, err)
+		}
+		if line.Index != spec.Index {
+			return fmt.Errorf("shard %d: run returned index %d for spec %d", shard, line.Index, spec.Index)
+		}
+		raw, err := line.Encode()
+		if err != nil {
+			return fmt.Errorf("shard %d: encode line %d: %w", shard, spec.Index, err)
+		}
+		if err := emit(raw, &line); err != nil {
+			return err
+		}
+	}
+	return nil
 }

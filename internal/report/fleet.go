@@ -39,26 +39,13 @@ func WriteFleetText(w io.Writer, r *fleet.Report) {
 	fmt.Fprintf(w, "fleet: %d runs in %d shards of %d\n", r.Runs, r.Shards, r.ShardSize)
 	fmt.Fprintf(w, "%-28s %-10s %5s %36s\n", "unit", "ablation", "runs", "total refs mean [min, max]")
 	for _, c := range r.Cells {
-		var refs fmt.Stringer = noRefs{}
-		for _, m := range c.Metrics {
-			if m.Name == "total_refs" {
-				refs = refsAgg{m}
-				break
-			}
+		refs := "-"
+		if a, ok := c.Metric("total_refs"); ok {
+			refs = fmt.Sprintf("%.0f [%.0f, %.0f]", a.Mean(), a.Min(), a.Max())
 		}
 		fmt.Fprintf(w, "%-28s %-10s %5d %36s\n", c.Unit, c.Ablation, c.Runs, refs)
 	}
 	fmt.Fprintf(w, "fingerprint: %s\n", r.Fingerprint)
-}
-
-type noRefs struct{}
-
-func (noRefs) String() string { return "-" }
-
-type refsAgg struct{ m fleet.MetricAgg }
-
-func (r refsAgg) String() string {
-	return fmt.Sprintf("%.0f [%.0f, %.0f]", r.m.Agg.Mean(), r.m.Agg.Min(), r.m.Agg.Max())
 }
 
 // WriteFleetJSON renders the fleet report as indented canonical JSON — the

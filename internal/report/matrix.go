@@ -9,8 +9,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"time"
 
 	"agave/internal/core"
+	"agave/internal/fleet"
+	"agave/internal/stats"
 	"agave/internal/suite"
 )
 
@@ -74,6 +77,8 @@ type aggJSON struct {
 	Max  float64 `json:"max"`
 }
 
+func newAggJSON(a stats.Agg) aggJSON { return aggJSON{a.Mean(), a.Min(), a.Max()} }
+
 // summaryJSON is the JSON shape of one (benchmark, ablation) summary.
 type summaryJSON struct {
 	Benchmark   string             `json:"benchmark"`
@@ -99,6 +104,41 @@ type planJSON struct {
 	Parallel   int      `json:"parallel"`
 }
 
+// summary is one (unit, ablation) cell of a sweep across its seeds. The
+// per-run metrics fold through the fleet Cell — the same fold, over the same
+// FleetLine, a fleet report's cells come from — while wall time and
+// throughput are display-only folds that never enter a fleet line.
+type summary struct {
+	fleet.Cell
+	seeds      []uint64
+	wall, tput stats.Agg
+}
+
+// summarize groups successful outputs by (unit, ablation), in plan order of
+// first appearance.
+func summarize(outputs []suite.RunOutput[*core.Result]) []*summary {
+	var sums []*summary
+	index := make(map[[2]string]*summary)
+	for _, o := range outputs {
+		if o.Err != nil || o.Result == nil {
+			continue
+		}
+		line := FleetLine(o.Spec, o.Result)
+		k := [2]string{line.Unit, line.Ablation}
+		s := index[k]
+		if s == nil {
+			s = &summary{Cell: fleet.Cell{Unit: line.Unit, Ablation: line.Ablation}}
+			index[k] = s
+			sums = append(sums, s)
+		}
+		s.Observe(line.Metrics)
+		s.seeds = append(s.seeds, o.Spec.Seed)
+		s.wall.Observe(float64(o.Wall) / float64(time.Millisecond))
+		s.tput.Observe(o.TicksPerSecond())
+	}
+	return sums
+}
+
 // WriteSuiteJSON emits the full sweep — plan, per-run rows, and summaries —
 // as one indented JSON document.
 func WriteSuiteJSON(w io.Writer, p suite.Plan, parallel int,
@@ -111,18 +151,17 @@ func WriteSuiteJSON(w io.Writer, p suite.Plan, parallel int,
 	for _, a := range p.Ablations {
 		doc.Plan.Ablations = append(doc.Plan.Ablations, a.Label())
 	}
-	for _, s := range suite.Summarize(outputs, core.SuiteMetrics) {
+	for _, s := range summarize(outputs) {
 		sj := summaryJSON{
-			Benchmark:   s.Benchmark,
+			Benchmark:   s.Unit,
 			Ablation:    s.Ablation,
-			Seeds:       s.Seeds,
-			WallMS:      aggJSON{s.Wall.Mean(), s.Wall.Min(), s.Wall.Max()},
-			TicksPerSec: aggJSON{s.Throughput.Mean(), s.Throughput.Min(), s.Throughput.Max()},
+			Seeds:       s.seeds,
+			WallMS:      newAggJSON(s.wall),
+			TicksPerSec: newAggJSON(s.tput),
 			Metrics:     make(map[string]aggJSON, len(s.Metrics)),
 		}
-		for _, name := range s.MetricNames() {
-			a := s.Metrics[name]
-			sj.Metrics[name] = aggJSON{a.Mean(), a.Min(), a.Max()}
+		for _, m := range s.Metrics {
+			sj.Metrics[m.Name] = newAggJSON(m.Agg)
 		}
 		doc.Summaries = append(doc.Summaries, sj)
 	}
@@ -134,13 +173,12 @@ func WriteSuiteJSON(w io.Writer, p suite.Plan, parallel int,
 // WriteSummaries renders the mean/min/max fold of a sweep: one line per
 // (benchmark, ablation) cell, aggregated across that cell's seeds.
 func WriteSummaries(w io.Writer, outputs []suite.RunOutput[*core.Result]) {
-	summaries := suite.Summarize(outputs, core.SuiteMetrics)
 	fmt.Fprintf(w, "%-24s %-10s %5s %36s %22s\n",
 		"benchmark", "ablation", "seeds", "total refs mean [min, max]", "wall ms mean")
-	for _, s := range summaries {
-		refs := s.Metrics["total_refs"]
+	for _, s := range summarize(outputs) {
+		refs, _ := s.Metric("total_refs")
 		fmt.Fprintf(w, "%-24s %-10s %5d %20.0f [%.0f, %.0f] %15.1f\n",
-			s.Benchmark, s.Ablation, len(s.Seeds), refs.Mean(), refs.Min(), refs.Max(),
-			s.Wall.Mean())
+			s.Unit, s.Ablation, len(s.seeds), refs.Mean(), refs.Min(), refs.Max(),
+			s.wall.Mean())
 	}
 }

@@ -244,6 +244,40 @@ func TestWriteMatrixAndSummaries(t *testing.T) {
 	}
 }
 
+// TestSummariesFoldSeeds pins the suite summary fold: outputs group by
+// (unit, ablation) in plan order, each cell folds its seeds' metrics through
+// the fleet Cell, and failed runs are skipped.
+func TestSummariesFoldSeeds(t *testing.T) {
+	plan := suite.Plan{Benchmarks: []string{"a", "b"}, Seeds: []uint64{1, 2, 3}}
+	specs := plan.Specs()
+	outs := make([]suite.RunOutput[*core.Result], len(specs))
+	for i, s := range specs {
+		r := twoResults()[0]
+		r.Processes = int(s.Seed * 10)
+		outs[i] = suite.RunOutput[*core.Result]{
+			Spec: s, Result: r, Wall: time.Duration(s.Seed) * time.Millisecond, Ticks: sim.Second,
+		}
+	}
+	outs[len(outs)-1].Err = errFake // b/seed=3 failed
+	sums := summarize(outs)
+	if len(sums) != 2 || sums[0].Unit != "a" || sums[1].Unit != "b" {
+		t.Fatalf("summaries not one per unit in plan order: %+v", sums)
+	}
+	for i, want := range []struct{ runs, mean, max float64 }{{3, 20, 30}, {2, 15, 20}} {
+		s := sums[i]
+		procs, ok := s.Metric("processes")
+		if !ok || len(s.seeds) != int(want.runs) || s.Runs != int(want.runs) {
+			t.Fatalf("%s: folded %d seeds (%d runs), want %v", s.Unit, len(s.seeds), s.Runs, want.runs)
+		}
+		if procs.Mean() != want.mean || procs.Min() != 10 || procs.Max() != want.max {
+			t.Fatalf("%s: processes agg = mean %.1f min %.1f max %.1f", s.Unit, procs.Mean(), procs.Min(), procs.Max())
+		}
+		if s.wall.Min() != 1 || s.wall.Max() != want.runs {
+			t.Fatalf("%s: wall agg = min %.1f max %.1f", s.Unit, s.wall.Min(), s.wall.Max())
+		}
+	}
+}
+
 func TestWriteSuiteJSONRoundTrip(t *testing.T) {
 	plan, outs := fakeOutputs()
 	var buf bytes.Buffer

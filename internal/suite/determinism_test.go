@@ -232,17 +232,17 @@ func TestScenarioSetSpecsExpandAfterNamedScenarios(t *testing.T) {
 	}
 }
 
-// TestRunSuiteParallelMatchesRunSuite pins the public-API contract: the
-// parallel entry point returns the same results slice as the historical
-// serial one.
-func TestRunSuiteParallelMatchesRunSuite(t *testing.T) {
+// TestRunPlanParallelMatchesRunSuite pins the public-API contract: a
+// parallel plan sweep returns the same results, in the same order, as the
+// historical serial entry point.
+func TestRunPlanParallelMatchesRunSuite(t *testing.T) {
 	names := []string{"countdown.main", "aard.main", "429.mcf"}
 	cfg := quickCfg()
 	serial, err := core.RunSuite(cfg, names...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := core.RunSuiteParallel(cfg, 4, names...)
+	par, err := core.RunPlan(cfg, suite.Plan{Benchmarks: names, Seeds: []uint64{cfg.Seed}}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,11 +250,11 @@ func TestRunSuiteParallelMatchesRunSuite(t *testing.T) {
 		t.Fatalf("lengths diverged: %d vs %d", len(serial), len(par))
 	}
 	for i := range serial {
-		if serial[i].Benchmark != par[i].Benchmark {
-			t.Fatalf("order diverged at %d: %s vs %s", i, serial[i].Benchmark, par[i].Benchmark)
+		if serial[i].Benchmark != par[i].Result.Benchmark {
+			t.Fatalf("order diverged at %d: %s vs %s", i, serial[i].Benchmark, par[i].Result.Benchmark)
 		}
-		if serial[i].Stats.Fingerprint() != par[i].Stats.Fingerprint() {
-			t.Fatalf("%s: stats diverged between RunSuite and RunSuiteParallel", serial[i].Benchmark)
+		if serial[i].Stats.Fingerprint() != par[i].Result.Stats.Fingerprint() {
+			t.Fatalf("%s: stats diverged between RunSuite and a parallel RunPlan", serial[i].Benchmark)
 		}
 	}
 }

@@ -2,28 +2,25 @@
 // reproduction. It shards benchmark runs across a bounded pool of worker
 // goroutines — each run boots its own simulated machine, so runs are
 // share-nothing — while preserving the determinism guarantee of serial
-// execution: results are collected and emitted in plan order, bit-identical
-// to a one-worker run, regardless of completion order.
+// execution: results land at their plan positions, bit-identical to a
+// one-worker run, regardless of completion order.
 //
 // A sweep is expressed as a Plan: the cross product of benchmark names ×
-// seeds × ablation configurations, expanded into an ordered []RunSpec. The
-// generic Engine executes specs through a caller-supplied run function (the
-// core package adapts core.Run; this package deliberately does not import
-// core so core.RunSuite can delegate here without an import cycle) and
-// reports per-run wall clock plus simulated-tick throughput. Summarize folds
-// repeated-seed runs into mean/min/max aggregates via internal/stats.
+// seeds × ablation configurations, expanded into an ordered []RunSpec. Each
+// is the one dispatch pool: core.RunPlan runs specs through it (this package
+// deliberately does not import core, so core can delegate here without an
+// import cycle) and the fleet coordinator runs shards through it. NumShards
+// and ShardRange fix the fleet's shard geometry.
 package suite
 
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
 	"agave/internal/scenario"
 	"agave/internal/sim"
-	"agave/internal/stats"
 )
 
 // Ablation is one configuration axis of a plan: a named set of overrides
@@ -197,7 +194,7 @@ func (s RunSpec) String() string {
 }
 
 // RunOutput is one completed run: the caller's result payload plus the
-// engine's own measurements.
+// executor's own measurements.
 type RunOutput[R any] struct {
 	Spec   RunSpec
 	Result R
@@ -218,7 +215,7 @@ func (o RunOutput[R]) TicksPerSecond() float64 {
 	return float64(o.Ticks) / o.Wall.Seconds()
 }
 
-// RunError is the first failure (in plan order) of an Execute call.
+// RunError is the first failure (in plan order) of a plan sweep.
 type RunError struct {
 	Spec RunSpec
 	Err  error
@@ -229,187 +226,50 @@ func (e *RunError) Error() string { return fmt.Sprintf("%s: %v", e.Spec, e.Err) 
 // Unwrap exposes the underlying run error.
 func (e *RunError) Unwrap() error { return e.Err }
 
-// Engine executes run specs across a bounded worker pool. Each worker calls
-// Run, which must boot a fresh simulated machine per call (runs share
-// nothing); Run returns the result payload and how many simulated ticks the
-// run covered.
-type Engine[R any] struct {
-	// Parallel bounds the worker pool; <= 0 means GOMAXPROCS. The
-	// simulator is CPU-bound, so more workers than cores only adds
-	// scheduler thrash — prefer the default.
-	Parallel int
-	// Run executes one spec. It must be safe for concurrent calls.
-	Run func(RunSpec) (R, sim.Ticks, error)
-	// OnResult, when non-nil, observes completed runs strictly in plan
-	// order (the ordered collector buffers out-of-order completions). It
-	// is called from Execute's goroutine pool; calls never overlap.
-	OnResult func(RunOutput[R])
-}
-
-// Execute runs every spec and returns outputs in plan order. Workers pull
-// specs in plan order, so with Parallel=1 execution is exactly the serial
-// loop. If any run fails, dispatch of not-yet-started specs stops and the
-// first error in plan order is returned as a *RunError alongside the outputs
-// gathered so far (failed or skipped entries keep their Err / zero Result).
-func (e Engine[R]) Execute(specs []RunSpec) ([]RunOutput[R], error) {
-	workers := e.Parallel
+// Each calls fn(i) for every i in [0, n) on a bounded pool of workers
+// goroutines (<= 0 means GOMAXPROCS): the one dispatch pool behind both the
+// in-process suite sweep and the fleet coordinator. Indices are dispatched in
+// increasing order, so with one worker execution is exactly the serial loop.
+// After the first failure no further index is dispatched; in-flight calls
+// finish, and Each returns the error of the smallest failed index. Every
+// index below it was dispatched and has completed, so that is the error a
+// serial loop would have stopped at.
+func Each(n, workers int, fn func(i int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-	outputs := make([]RunOutput[R], len(specs))
-	for i, s := range specs {
-		outputs[i].Spec = s
-	}
-	if len(specs) == 0 {
-		return outputs, nil
-	}
-
+	workers = min(workers, n)
 	var (
-		mu     sync.Mutex
-		next   int  // next spec index to dispatch
-		failed bool // stop dispatching new specs after any error
-		wg     sync.WaitGroup
+		mu       sync.Mutex
+		next     int
+		failed   = -1 // smallest failed index; stops dispatch once set
+		firstErr error
+		wg       sync.WaitGroup
 	)
-	collector := newOrderedCollector(e.OnResult, outputs)
-	runOne := func(i int) bool {
-		start := time.Now() //agave:allow walltime Wall is operator-facing elapsed time, reported alongside the deterministic tick count, never fed back into the simulation
-		res, ticks, err := e.Run(specs[i])
-		out := RunOutput[R]{
-			Spec:   specs[i],
-			Result: res,
-			Err:    err,
-			Wall:   time.Since(start), //agave:allow walltime same display-only measurement as the paired time.Now above
-			Ticks:  ticks,
-		}
-		mu.Lock()
-		outputs[i] = out
-		if err != nil {
-			failed = true
-		}
-		mu.Unlock()
-		collector.done(i)
-		return err == nil
-	}
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
 			for {
 				mu.Lock()
-				if failed || next >= len(specs) {
+				if failed >= 0 || next >= n {
 					mu.Unlock()
 					return
 				}
 				i := next
 				next++
 				mu.Unlock()
-				if !runOne(i) {
+				if err := fn(i); err != nil {
+					mu.Lock()
+					if failed < 0 || i < failed {
+						failed, firstErr = i, err
+					}
+					mu.Unlock()
 					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
-
-	// Workers dispatch in plan order, so every spec preceding a failed one
-	// was dispatched and has completed: the first Err in output order is
-	// the same error a serial run would have stopped at.
-	for i := range outputs {
-		if outputs[i].Err != nil {
-			return outputs, &RunError{Spec: outputs[i].Spec, Err: outputs[i].Err}
-		}
-	}
-	return outputs, nil
-}
-
-// orderedCollector re-serializes out-of-order completions: done(i) marks spec
-// i complete, and the emit callback fires for each spec exactly once, in
-// index order, as soon as all of its predecessors have completed.
-type orderedCollector[R any] struct {
-	mu      sync.Mutex
-	emit    func(RunOutput[R])
-	outputs []RunOutput[R]
-	ready   map[int]bool
-	next    int
-}
-
-func newOrderedCollector[R any](emit func(RunOutput[R]), outputs []RunOutput[R]) *orderedCollector[R] {
-	return &orderedCollector[R]{emit: emit, outputs: outputs, ready: make(map[int]bool)}
-}
-
-func (c *orderedCollector[R]) done(i int) {
-	if c.emit == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ready[i] = true
-	for c.ready[c.next] {
-		delete(c.ready, c.next)
-		c.emit(c.outputs[c.next])
-		c.next++
-	}
-}
-
-// Summary aggregates the repeated-seed runs of one (benchmark, ablation)
-// cell: every metric is folded into a mean/min/max stats.Agg across seeds.
-type Summary struct {
-	Benchmark string
-	Ablation  string
-	Seeds     []uint64
-	// Wall aggregates per-run wall-clock milliseconds.
-	Wall stats.Agg
-	// Throughput aggregates simulated ticks per real second.
-	Throughput stats.Agg
-	// Metrics aggregates the caller-extracted per-run metrics.
-	Metrics map[string]stats.Agg
-}
-
-// MetricNames reports the summary's metric keys in sorted order.
-func (s Summary) MetricNames() []string {
-	names := make([]string, 0, len(s.Metrics))
-	for n := range s.Metrics {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Summarize groups outputs by (benchmark, ablation) — in first-appearance
-// (plan) order — and folds each group's per-seed runs into mean/min/max
-// aggregates. The metrics function extracts the scalar metrics of one result;
-// failed runs are skipped.
-func Summarize[R any](outputs []RunOutput[R], metrics func(R) map[string]float64) []Summary {
-	type cell struct{ bench, abl string }
-	index := make(map[cell]int)
-	var summaries []Summary
-	for _, o := range outputs {
-		if o.Err != nil {
-			continue
-		}
-		c := cell{o.Spec.UnitName(), o.Spec.Ablation.Label()}
-		i, ok := index[c]
-		if !ok {
-			i = len(summaries)
-			index[c] = i
-			summaries = append(summaries, Summary{
-				Benchmark: c.bench,
-				Ablation:  c.abl,
-				Metrics:   make(map[string]stats.Agg),
-			})
-		}
-		s := &summaries[i]
-		s.Seeds = append(s.Seeds, o.Spec.Seed)
-		s.Wall.Observe(float64(o.Wall) / float64(time.Millisecond))
-		s.Throughput.Observe(o.TicksPerSecond())
-		for name, v := range metrics(o.Result) {
-			agg := s.Metrics[name]
-			agg.Observe(v)
-			s.Metrics[name] = agg
-		}
-	}
-	return summaries
+	return firstErr
 }

@@ -2,13 +2,9 @@ package suite
 
 import (
 	"errors"
-	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"agave/internal/sim"
 )
 
 func TestPlanSpecsOrderAndDefaults(t *testing.T) {
@@ -42,55 +38,28 @@ func TestPlanSpecsOrderAndDefaults(t *testing.T) {
 	}
 }
 
+// The Engine tests pin the suite executor's dispatch pool, Each.
+
 func TestEngineOutputsInPlanOrder(t *testing.T) {
-	// Workers that finish in reverse order must not reorder outputs.
+	// Workers that finish in reverse order must not misplace results.
 	specs := Plan{Benchmarks: []string{"b0", "b1", "b2", "b3", "b4", "b5"}}.Specs()
-	eng := Engine[string]{
-		Parallel: len(specs),
-		Run: func(s RunSpec) (string, sim.Ticks, error) {
-			time.Sleep(time.Duration(len(specs)-s.Index) * 2 * time.Millisecond)
-			return "r:" + s.Benchmark, sim.Ticks(100), nil
-		},
-	}
-	outs, err := eng.Execute(specs)
+	results := make([]string, len(specs))
+	var calls atomic.Int32
+	err := Each(len(specs), len(specs), func(i int) error {
+		calls.Add(1)
+		time.Sleep(time.Duration(len(specs)-i) * 2 * time.Millisecond)
+		results[i] = "r:" + specs[i].Benchmark
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, o := range outs {
-		if o.Result != "r:"+specs[i].Benchmark {
-			t.Fatalf("output %d = %q, out of plan order", i, o.Result)
-		}
-		if o.Ticks != 100 || o.Wall <= 0 {
-			t.Fatalf("output %d missing measurements: %+v", i, o)
-		}
+	if got := calls.Load(); got != int32(len(specs)) {
+		t.Fatalf("fn called %d times, want %d", got, len(specs))
 	}
-}
-
-func TestEngineOrderedCollectorStreamsInOrder(t *testing.T) {
-	specs := Plan{Benchmarks: []string{"b0", "b1", "b2", "b3", "b4", "b5", "b6", "b7"}}.Specs()
-	var mu sync.Mutex
-	var emitted []int
-	eng := Engine[int]{
-		Parallel: 4,
-		Run: func(s RunSpec) (int, sim.Ticks, error) {
-			time.Sleep(time.Duration((s.Index*3)%5) * time.Millisecond)
-			return s.Index, 1, nil
-		},
-		OnResult: func(o RunOutput[int]) {
-			mu.Lock()
-			emitted = append(emitted, o.Spec.Index)
-			mu.Unlock()
-		},
-	}
-	if _, err := eng.Execute(specs); err != nil {
-		t.Fatal(err)
-	}
-	if len(emitted) != len(specs) {
-		t.Fatalf("collector emitted %d results, want %d", len(emitted), len(specs))
-	}
-	for i, idx := range emitted {
-		if idx != i {
-			t.Fatalf("collector emitted out of order: %v", emitted)
+	for i, r := range results {
+		if r != "r:"+specs[i].Benchmark {
+			t.Fatalf("result %d = %q, out of plan order", i, r)
 		}
 	}
 }
@@ -98,26 +67,19 @@ func TestEngineOrderedCollectorStreamsInOrder(t *testing.T) {
 func TestEngineBoundsWorkers(t *testing.T) {
 	const bound = 3
 	var inFlight, peak atomic.Int32
-	specs := make([]RunSpec, 20)
-	for i := range specs {
-		specs[i] = RunSpec{Index: i, Benchmark: fmt.Sprintf("b%d", i), Seed: 1}
-	}
-	eng := Engine[struct{}]{
-		Parallel: bound,
-		Run: func(s RunSpec) (struct{}, sim.Ticks, error) {
-			n := inFlight.Add(1)
-			for {
-				p := peak.Load()
-				if n <= p || peak.CompareAndSwap(p, n) {
-					break
-				}
+	err := Each(20, bound, func(int) error {
+		n := inFlight.Add(1)
+		for {
+			p := peak.Load()
+			if n <= p || peak.CompareAndSwap(p, n) {
+				break
 			}
-			time.Sleep(time.Millisecond)
-			inFlight.Add(-1)
-			return struct{}{}, 1, nil
-		},
-	}
-	if _, err := eng.Execute(specs); err != nil {
+		}
+		time.Sleep(time.Millisecond)
+		inFlight.Add(-1)
+		return nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if p := peak.Load(); p > bound {
@@ -126,95 +88,48 @@ func TestEngineBoundsWorkers(t *testing.T) {
 }
 
 func TestEngineFirstErrorInPlanOrder(t *testing.T) {
-	boom := errors.New("boom")
-	specs := Plan{Benchmarks: []string{"ok0", "bad1", "ok2", "bad3", "ok4"}}.Specs()
-	for _, parallel := range []int{1, 4} {
-		eng := Engine[string]{
-			Parallel: parallel,
-			Run: func(s RunSpec) (string, sim.Ticks, error) {
-				if s.Benchmark == "bad1" || s.Benchmark == "bad3" {
-					return "", 0, boom
-				}
-				return s.Benchmark, 1, nil
-			},
-		}
-		_, err := eng.Execute(specs)
-		var re *RunError
-		if !errors.As(err, &re) {
-			t.Fatalf("parallel=%d: error %v is not a RunError", parallel, err)
-		}
-		if re.Spec.Benchmark != "bad1" {
-			t.Fatalf("parallel=%d: first error at %s, want bad1", parallel, re.Spec)
-		}
-		if !errors.Is(err, boom) {
-			t.Fatalf("parallel=%d: RunError does not unwrap to cause", parallel)
+	errs := map[int]error{1: errors.New("bad1"), 3: errors.New("bad3")}
+	for _, workers := range []int{1, 4} {
+		err := Each(5, workers, func(i int) error {
+			if i == 1 {
+				// Fail after index 3 has had time to fail first: the
+				// smallest index, not the earliest failure, must win.
+				time.Sleep(5 * time.Millisecond)
+			}
+			return errs[i]
+		})
+		if err != errs[1] {
+			t.Fatalf("workers=%d: error %v, want the error of index 1", workers, err)
 		}
 	}
 }
 
 func TestEngineSerialStopsAtFirstError(t *testing.T) {
 	var ran atomic.Int32
-	specs := Plan{Benchmarks: []string{"a", "bad", "c", "d"}}.Specs()
-	eng := Engine[struct{}]{
-		Parallel: 1,
-		Run: func(s RunSpec) (struct{}, sim.Ticks, error) {
-			ran.Add(1)
-			if s.Benchmark == "bad" {
-				return struct{}{}, 0, errors.New("stop here")
-			}
-			return struct{}{}, 1, nil
-		},
-	}
-	if _, err := eng.Execute(specs); err == nil {
+	err := Each(4, 1, func(i int) error {
+		ran.Add(1)
+		if i == 1 {
+			return errors.New("stop here")
+		}
+		return nil
+	})
+	if err == nil {
 		t.Fatal("error swallowed")
 	}
 	if got := ran.Load(); got != 2 {
-		t.Fatalf("serial engine ran %d specs after failure, want exactly 2 (historical RunSuite behavior)", got)
+		t.Fatalf("serial pool ran %d indices after failure, want exactly 2 (historical RunSuite behavior)", got)
 	}
 }
 
 func TestEngineEmptyPlan(t *testing.T) {
-	eng := Engine[int]{Run: func(RunSpec) (int, sim.Ticks, error) { return 0, 0, nil }}
-	outs, err := eng.Execute(nil)
-	if err != nil || len(outs) != 0 {
-		t.Fatalf("empty plan: outs=%v err=%v", outs, err)
-	}
-}
-
-func TestSummarizeFoldsSeeds(t *testing.T) {
-	plan := Plan{
-		Benchmarks: []string{"a", "b"},
-		Seeds:      []uint64{1, 2, 3},
-	}
-	eng := Engine[float64]{
-		Parallel: 2,
-		Run: func(s RunSpec) (float64, sim.Ticks, error) {
-			return float64(s.Seed * 10), 1000, nil
-		},
-	}
-	outs, err := eng.Execute(plan.Specs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sums := Summarize(outs, func(v float64) map[string]float64 {
-		return map[string]float64{"value": v}
-	})
-	if len(sums) != 2 {
-		t.Fatalf("got %d summaries, want 2 (one per benchmark)", len(sums))
-	}
-	if sums[0].Benchmark != "a" || sums[1].Benchmark != "b" {
-		t.Fatalf("summaries out of plan order: %+v", sums)
-	}
-	for _, s := range sums {
-		if len(s.Seeds) != 3 {
-			t.Fatalf("%s: folded %d seeds, want 3", s.Benchmark, len(s.Seeds))
-		}
-		v := s.Metrics["value"]
-		if v.Mean() != 20 || v.Min() != 10 || v.Max() != 30 {
-			t.Fatalf("%s: value agg = mean %.1f min %.1f max %.1f", s.Benchmark, v.Mean(), v.Min(), v.Max())
-		}
-		if got := s.MetricNames(); len(got) != 1 || got[0] != "value" {
-			t.Fatalf("metric names = %v", got)
+	var calls atomic.Int32
+	for _, workers := range []int{0, 1, 4} {
+		err := Each(0, workers, func(int) error {
+			calls.Add(1)
+			return nil
+		})
+		if err != nil || calls.Load() != 0 {
+			t.Fatalf("workers=%d: empty range returned %v after %d calls", workers, err, calls.Load())
 		}
 	}
 }
