@@ -10,10 +10,10 @@ import (
 	"agave/internal/stats"
 )
 
-// These tests pin the interpreter edge cases the threaded-dispatch rewrite
-// must preserve: div/rem-by-zero semantics, invoke argument-window snapshot
-// semantics, the recursion-depth guard, and mid-execution promotion to the
-// JIT code cache.
+// These tests pin the interpreter edge cases under both cost models:
+// div/rem-by-zero semantics, invoke argument-window snapshot semantics, the
+// recursion-depth guard, mid-execution promotion to the JIT code cache, and
+// the compiled model's elided dex reads.
 
 const divRemSource = `
 .method divZero 2
@@ -28,8 +28,7 @@ const divRemSource = `
 
 // TestDivRemByZeroYieldsZero locks the documented divergence from real
 // Dalvik (see internal/dex/isa.go): a zero divisor yields 0 instead of
-// throwing ArithmeticException — on the interpreted path and on the
-// pre-decoded compiled path alike.
+// throwing ArithmeticException — in interpreted and compiled methods alike.
 func TestDivRemByZeroYieldsZero(t *testing.T) {
 	harness(t, false, func(ex *kernel.Exec, vm *VM, d *LoadedDex) {
 		f, err := Assemble("divrem", divRemSource)
@@ -144,12 +143,13 @@ func TestRecursionDepthPanics(t *testing.T) {
 	}
 }
 
-// TestMidExecutionJITSwitchover pins the trace-JIT promotion race the
-// rewrite must preserve: a single long Exec crosses the hot threshold via
-// loop backedges, the Compiler thread runs while the interpreter is parked
-// between accounting quanta, and the remainder of that same invocation
-// executes from dalvik-jit-code-cache — so one call charges both libdvm.so
-// and the JIT cache.
+// TestMidExecutionJITSwitchover pins the trace-JIT promotion race: a single
+// long Exec crosses the hot threshold via loop backedges, the Compiler thread
+// runs while the interpreter is parked between accounting quanta, and the
+// remainder of that same invocation executes from dalvik-jit-code-cache — so
+// one call charges both libdvm.so and the JIT cache. The counts are exact:
+// they move if the switch happens at a different bytecode. (libdvm.so and
+// the dex image also carry the Compiler thread's work.)
 func TestMidExecutionJITSwitchover(t *testing.T) {
 	var got int64
 	k := harness(t, true, func(ex *kernel.Exec, vm *VM, d *LoadedDex) {
@@ -160,35 +160,83 @@ func TestMidExecutionJITSwitchover(t *testing.T) {
 		t.Fatalf("sumLoop(%d) = %d, want %d", n, got, want)
 	}
 	ifetch := k.Stats.ByRegion(stats.IFetch)
-	if ifetch[mem.RegionJITCache] == 0 {
-		t.Fatal("hot loop never switched to JIT-cache fetches mid-execution")
+	if got, want := ifetch["libdvm.so"], uint64(18_029_524); got != want {
+		t.Errorf("libdvm.so fetches = %d, want %d", got, want)
 	}
-	if ifetch["libdvm.so"] == 0 {
-		t.Fatal("no interpreted prefix before the switchover")
+	if got, want := ifetch[mem.RegionJITCache], uint64(590_864); got != want {
+		t.Errorf("JIT-cache fetches = %d, want %d", got, want)
+	}
+	if got, want := k.Stats.ByRegion(stats.DataRead)["benchmark@classes.dex"], uint64(526_872); got != want {
+		t.Errorf("dex reads = %d, want %d", got, want)
 	}
 }
 
 // TestCompiledElidesDexReads pins the attribution contract of compiled
-// execution: a ForceCompile'd method fetches from dalvik-jit-code-cache at
-// jitCost per bytecode and never reads the dex image — the only image reads
-// left are LoadDex's class-loading walk.
+// execution for every stock method, covering heap ops and invokes made from
+// compiled frames: a ForceCompile'd method returns what the interpreted one
+// does, fetches from dalvik-jit-code-cache at jitCost per bytecode, and
+// never reads the dex image. The interpreted run reads the image once per
+// bytecode, which gives the dynamic bytecode count.
 func TestCompiledElidesDexReads(t *testing.T) {
-	const n = 5000
-	k := harness(t, false, func(ex *kernel.Exec, vm *VM, d *LoadedDex) {
-		vm.ForceCompile(d, "sumLoop")
-		if got := vm.Exec(ex, d, "sumLoop", n); got != int64(n)*(n-1)/2 {
-			t.Errorf("compiled sumLoop(%d) = %d, want %d", n, got, int64(n)*(n-1)/2)
-		}
-	})
-	ifetch := k.Stats.ByRegion(stats.IFetch)
-	bytecodes := uint64(4*n + 4)
-	if got := ifetch[mem.RegionJITCache]; got != bytecodes*jitCost {
-		t.Errorf("JIT-cache fetches = %d, want exactly %d (jitCost per bytecode)", got, bytecodes*jitCost)
+	type stockCall struct {
+		method string
+		setup  func(ex *kernel.Exec, vm *VM, d *LoadedDex) []int64 // returns the method's args
 	}
-	// LoadDex walks a quarter of the image words; interpretation of a
-	// compiled method must add nothing on top of that.
-	if reads := k.Stats.ByRegion(stats.DataRead)["benchmark@classes.dex"]; reads >= 1000 {
-		t.Errorf("dex reads = %d, want < 1000: compiled execution should elide the per-bytecode dex read", reads)
+	cases := []stockCall{
+		{"sumLoop", func(*kernel.Exec, *VM, *LoadedDex) []int64 { return []int64{500} }},
+		{"fillArray", func(*kernel.Exec, *VM, *LoadedDex) []int64 { return []int64{200} }},
+		{"scanArray", func(ex *kernel.Exec, vm *VM, d *LoadedDex) []int64 {
+			return []int64{vm.Exec(ex, d, "fillArray", 200)}
+		}},
+		{"objectChurn", func(*kernel.Exec, *VM, *LoadedDex) []int64 { return []int64{100} }},
+		{"chainWalk", func(ex *kernel.Exec, vm *VM, d *LoadedDex) []int64 {
+			return []int64{vm.Exec(ex, d, "objectChurn", 100)}
+		}},
+		{"callHeavy", func(*kernel.Exec, *VM, *LoadedDex) []int64 { return []int64{100} }},
+		{"blend", func(ex *kernel.Exec, vm *VM, d *LoadedDex) []int64 {
+			return []int64{vm.Exec(ex, d, "fillArray", 64), vm.Exec(ex, d, "fillArray", 64)}
+		}},
+	}
+	// run executes tc's setup and then, unless mode is "setup", the method
+	// itself — interpreted, or with every method force-compiled — and
+	// returns the method's result with the run's JIT-cache fetches and dex
+	// reads. Setup is interpreted in every mode, so its charges cancel.
+	run := func(t *testing.T, tc stockCall, mode string) (ret int64, jitFetch, dexReads uint64) {
+		k := harness(t, false, func(ex *kernel.Exec, vm *VM, d *LoadedDex) {
+			args := tc.setup(ex, vm, d)
+			switch mode {
+			case "setup":
+				return
+			case "compiled":
+				for _, m := range d.File.Methods {
+					vm.ForceCompile(d, m.Name)
+				}
+			}
+			ret = vm.Exec(ex, d, tc.method, args...)
+		})
+		return ret, k.Stats.ByRegion(stats.IFetch)[mem.RegionJITCache],
+			k.Stats.ByRegion(stats.DataRead)["benchmark@classes.dex"]
+	}
+	for _, tc := range cases {
+		t.Run(tc.method, func(t *testing.T) {
+			_, _, baseReads := run(t, tc, "setup")
+			want, _, interpReads := run(t, tc, "interp")
+			got, jitFetch, jitReads := run(t, tc, "compiled")
+			if got != want {
+				t.Errorf("compiled %s = %d, interpreted = %d", tc.method, got, want)
+			}
+			bytecodes := interpReads - baseReads
+			if bytecodes == 0 {
+				t.Fatalf("interpreted %s read no bytecode from the dex image", tc.method)
+			}
+			if jitReads != baseReads {
+				t.Errorf("compiled %s added %d dex reads, want 0", tc.method, jitReads-baseReads)
+			}
+			if jitFetch != bytecodes*jitCost {
+				t.Errorf("JIT-cache fetches = %d, want %d (jitCost per bytecode for %d bytecodes)",
+					jitFetch, bytecodes*jitCost, bytecodes)
+			}
+		})
 	}
 }
 

@@ -66,11 +66,8 @@ type LoadedDex struct {
 	// (images are immutable once mapped), so the interpreter's dispatch
 	// loop never re-decodes instruction words. codeOff and pre come from
 	// the per-file decodedImage cache and are shared read-only by every VM
-	// loading the file; progs lazily holds the per-method compiled closure
-	// programs (see interp.go) and is shared only within one kernel's
-	// zygote lineage by ForkVM.
-	pre   [][]dex.Instr
-	progs [][]cop
+	// loading the file.
+	pre [][]dex.Instr
 }
 
 // decodedImage is the immutable, shareable part of a loaded dex: the
@@ -224,8 +221,7 @@ func (vm *VM) LoadDex(ex *kernel.Exec, file *dex.File) *LoadedDex {
 	v := vm.Proc.AS.MapAnywhere(mem.MmapBase, uint64(len(img)), name,
 		mem.PermRead, mem.ClassData)
 	copy(v.Bytes(), img)
-	d := &LoadedDex{File: file, VMA: v, codeOff: dec.codeOff, pre: dec.pre,
-		progs: make([][]cop, len(file.Methods))}
+	d := &LoadedDex{File: file, VMA: v, codeOff: dec.codeOff, pre: dec.pre}
 	vm.dexes[file.Name] = d
 
 	// Class loading: walk the image (reads) and populate LinearAlloc
@@ -256,8 +252,7 @@ func (vm *VM) Adopt(file *dex.File, v *mem.VMA) *LoadedDex {
 		panic(fmt.Sprintf("dalvik: image %s (%d bytes) larger than mapping %s", file.Name, len(img), v.Name))
 	}
 	copy(v.Slice(0, uint64(len(img))), img)
-	d := &LoadedDex{File: file, VMA: v, codeOff: dec.codeOff, pre: dec.pre,
-		progs: make([][]cop, len(file.Methods))}
+	d := &LoadedDex{File: file, VMA: v, codeOff: dec.codeOff, pre: dec.pre}
 	vm.dexes[file.Name] = d
 	return d
 }
@@ -305,7 +300,6 @@ func ForkVM(parent *VM, child *kernel.Process, services bool) *VM {
 			VMA:     find(d.VMA.Name),
 			codeOff: d.codeOff,
 			pre:     d.pre,
-			progs:   d.progs,
 		}
 		vm.dexes[name] = nd
 	}
@@ -362,8 +356,8 @@ func (vm *VM) TrimMemory(ex *kernel.Exec) uint64 {
 func (vm *VM) CompilesDone() uint64 { return vm.compilesDone }
 
 // ForceCompile marks method in d as JIT-compiled without charging any
-// compiler work, so tests and benchmarks can drive the compiled dispatch
-// path deterministically. Real promotion goes through the Compiler thread.
+// compiler work, so tests and benchmarks can run it under the compiled cost
+// model deterministically. Real promotion goes through the Compiler thread.
 func (vm *VM) ForceCompile(d *LoadedDex, method string) {
 	vm.compiled[methodKey{dex: d.File.Name, method: method}] = true
 }
