@@ -13,15 +13,6 @@ import (
 	"agave/internal/suite"
 )
 
-// fleetFlags bundles the fleet-only flags.
-type fleetFlags struct {
-	workers    int
-	shardSize  int
-	checkpoint string
-	worker     bool
-	asJSON     bool
-}
-
 // fleetWorkerCommand builds the worker subprocess invocation: this binary
 // re-exec'd in worker mode. It is a seam so tests can substitute crashing or
 // misbehaving workers. AGAVE_CLI_EXEC marks the child as a CLI invocation —
@@ -58,20 +49,34 @@ func fleetRunLine(cfgRaw json.RawMessage, spec suite.RunSpec) (fleet.Line, error
 // runs the shards through fleet.Run — in this process, one at a time, for
 // -workers 0, or in that many worker subprocesses. The rendered report is
 // byte-identical across all of these.
-func fleetCmd(stdout, stderr io.Writer, cfg core.Config, ff fleetFlags, pf planFlags) int {
-	if ff.worker {
+func fleetCmd(stdout, stderr io.Writer, args []string) int {
+	fs, base := newFlags("fleet", stderr)
+	var pf planFlags
+	pf.register(fs)
+	workers := fs.Int("workers", 0, "fleet worker subprocesses (0 = serial in-process)")
+	shardSize := fs.Int("shard-size", 8, "plan specs per shard")
+	checkpoint := fs.String("checkpoint", "", "checkpoint journal path (existing journals resume)")
+	worker := fs.Bool("worker", false, "internal: run one shard from a stdin envelope")
+	if !parseFlags(fs, args, stderr) {
+		return 2
+	}
+	cfg, ok := pf.config(fs, stderr, base)
+	if !ok {
+		return 2
+	}
+	if *worker {
 		if err := fleet.RunWorker(os.Stdin, stdout, fleetRunLine); err != nil {
 			fmt.Fprintln(stderr, "agave fleet:", err)
 			return 1
 		}
 		return 0
 	}
-	if ff.shardSize <= 0 {
-		fmt.Fprintf(stderr, "agave fleet: -shard-size must be positive (got %d)\n", ff.shardSize)
+	if *shardSize <= 0 {
+		fmt.Fprintf(stderr, "agave fleet: -shard-size must be positive (got %d)\n", *shardSize)
 		return 2
 	}
-	if ff.workers < 0 {
-		fmt.Fprintf(stderr, "agave fleet: -workers must not be negative (got %d)\n", ff.workers)
+	if *workers < 0 {
+		fmt.Fprintf(stderr, "agave fleet: -workers must not be negative (got %d)\n", *workers)
 		return 2
 	}
 	plan, code, ok := buildPlan(stderr, "fleet", cfg, pf)
@@ -88,15 +93,15 @@ func fleetCmd(stdout, stderr io.Writer, cfg core.Config, ff fleetFlags, pf planF
 		fmt.Fprintln(stderr, "agave fleet:", err)
 		return 1
 	}
-	spec := &fleet.Spec{Config: cfgRaw, Plan: wirePlan, ShardSize: ff.shardSize}
+	spec := &fleet.Spec{Config: cfgRaw, Plan: wirePlan, ShardSize: *shardSize}
 
 	opts := fleet.Options{
-		Workers:    ff.workers,
+		Workers:    *workers,
 		Run:        fleetRunLine,
-		Checkpoint: ff.checkpoint,
+		Checkpoint: *checkpoint,
 		Progress:   stderr,
 	}
-	if ff.workers > 0 {
+	if *workers > 0 {
 		opts.Command = fleetWorkerCommand
 	}
 	rep, err := fleet.Run(spec, opts)
@@ -104,7 +109,7 @@ func fleetCmd(stdout, stderr io.Writer, cfg core.Config, ff fleetFlags, pf planF
 		fmt.Fprintln(stderr, "agave fleet:", err)
 		return 1
 	}
-	if ff.asJSON {
+	if pf.asJSON {
 		if err := report.WriteFleetJSON(stdout, rep); err != nil {
 			fmt.Fprintln(stderr, "agave fleet:", err)
 			return 1

@@ -17,28 +17,36 @@
 //	agave scalars [flags]              # Section-III census metrics
 //	agave all [flags]                  # everything above in one pass
 //
-// Flags:
+// Each subcommand parses only the flags it reads; any other flag is a usage
+// error (exit 2), and 'agave <command> -h' lists that command's flags. Every
+// subcommand but list reads the simulation flags:
 //
 //	-duration 1000   measured milliseconds of simulated time
 //	-warmup 300      warmup milliseconds before measurement (Android runs)
 //	-seed 1          simulation seed
-//	-format table    output format for figures: table, csv, bars
-//	-bench a,b,c     restrict the benchmark set (default: full suite)
 //	-nojit           disable the trace JIT in the app under test
 //	-dirtyrect       SurfaceFlinger composes only posted surfaces
 //
+// run reads nothing else: its benchmark is the positional argument. The
+// paper subcommands (fig1-fig4, table1, scalars, all) add:
+//
+//	-bench a,b,c     restrict the benchmark set (default: full suite)
+//	-format table    figure output: table, csv, bars (fig1-fig4 and all)
+//
 // The suite subcommand executes the cross product of benchmarks × seeds ×
 // ablations on a bounded worker pool; results are emitted in plan order and
-// are bit-identical to a serial run of the same plan:
+// are bit-identical to a serial run of the same plan. It adds:
 //
+//	-bench a,b,c       restrict the benchmark axis (default: full suite)
 //	-parallel 0        worker pool size (0 = all cores, 1 = serial)
 //	-seeds 1,2,3       seed axis of the run matrix (default: -seed)
 //	-ablations         add the nojit and dirtyrect ablations to the matrix
 //	-scenarios a,b     add bundled scenarios to the matrix as a plan axis
 //	-scenario-dir d    add every *.json scenario document in d to the matrix
 //	-gen-scenarios N   add N generated scenarios (seeds -gen-seed..+N-1);
-//	                   -gen-apps/-gen-events/-gen-pressure/-gen-inputs/
-//	                   -gen-faults set the knobs
+//	                   -gen-seed/-gen-apps/-gen-events/-gen-pressure/
+//	                   -gen-inputs/-gen-faults set the knobs
+//	-minfree N         cached-app kill waterline of scenario cells in pages
 //	-json              emit plan, per-run rows, and summaries as JSON
 //
 // The fleet subcommand executes the same matrix sharded across worker
@@ -46,7 +54,8 @@
 // million-session execution path (see docs/FLEET.md). The report of any
 // worker count, including a checkpoint-resumed run, is byte-identical to
 // the serial in-process run of the same plan, and its fingerprint commits
-// to every per-run result line:
+// to every per-run result line. It takes the suite flags but -parallel,
+// and adds:
 //
 //	-workers 0         worker subprocesses (0 = serial in-process)
 //	-shard-size 8      plan specs per shard (shard geometry, never concurrency)
@@ -66,11 +75,17 @@
 // the report's input columns. Fault events (faultBinder, crashService,
 // killMediaserver, corruptParcel — see docs/SCENARIOS.md) drive the
 // fault-injection plane, and the report's finj/fdet/frec/anrs columns carry
-// the dependability outcome, ANRs courtesy of the AnrWatchdog:
+// the dependability outcome, ANRs courtesy of the AnrWatchdog. Scenario
+// names are positional and may interleave with the flags, which are:
 //
-//	-minfree N       cached-app kill waterline in pages (0 = 8192 = 32 MB)
+//	-list            list the bundled scenario library and exit
 //	-file path       run a scenario decoded from a JSON scenario document
 //	-export name     print a bundled scenario as canonical JSON and exit
+//	-minfree N       cached-app kill waterline in pages (0 = 8192 = 32 MB)
+//	-parallel 0      worker pool size (0 = all cores, 1 = serial)
+//	-seeds 1,2,3     seed axis of the run matrix (default: -seed)
+//	-ablations       add the nojit and dirtyrect ablations to the matrix
+//	-json            emit the scenario report as JSON
 //
 // Scenario reports carry no wall-clock columns, so the same plan and seed
 // emit byte-identical bytes at any -parallel value — and a file-loaded copy
@@ -100,46 +115,21 @@ func main() {
 
 // Main is the testable entry point: it runs one CLI invocation against the
 // given streams and returns the process exit code (0 ok, 1 run failure,
-// 2 usage error).
+// 2 usage error). Each subcommand parses its own flag set holding exactly
+// the flags it reads, so a flag of another subcommand is a usage error.
 func Main(args []string, stdout, stderr io.Writer) int {
 	if len(args) < 1 {
 		usage(stderr)
 		return 2
 	}
-	cmd := args[0]
-	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	durationMS := fs.Int64("duration", 1000, "measured simulated milliseconds")
-	warmupMS := fs.Int64("warmup", 300, "warmup simulated milliseconds")
-	seed := fs.Uint64("seed", 1, "simulation seed")
-	minFree := fs.Uint64("minfree", 0, "lowmemorykiller cached-kill waterline in pages (scenario runs; 0 = default)")
-	format := fs.String("format", "table", "figure output: table, csv, bars")
-	benchList := fs.String("bench", "", "comma-separated benchmark subset")
-	noJIT := fs.Bool("nojit", false, "disable the trace JIT")
-	dirtyRect := fs.Bool("dirtyrect", false, "dirty-rect composition")
-	parallel := fs.Int("parallel", 0, "suite and scenario worker pool size (0 = all cores)")
-	seedList := fs.String("seeds", "", "comma-separated seed axis of the suite matrix")
-	ablations := fs.Bool("ablations", false, "add nojit and dirtyrect ablations to the matrix")
-	scenarioList := fs.String("scenarios", "", "comma-separated scenarios to add to the suite matrix")
-	asJSON := fs.Bool("json", false, "emit the suite sweep as JSON")
-	listScenarios := fs.Bool("list", false, "list the bundled scenario library")
-	scenarioFile := fs.String("file", "", "run a scenario loaded from a JSON scenario document")
-	exportName := fs.String("export", "", "print a bundled scenario as its canonical JSON document and exit")
-	scenarioDir := fs.String("scenario-dir", "", "add every *.json scenario in a directory to the suite matrix")
-	genScenarios := fs.Int("gen-scenarios", 0, "add N generated scenarios to the suite matrix (seeds gen-seed..gen-seed+N-1)")
-	genSeed := fs.Uint64("gen-seed", 1, "generation seed of the first generated scenario")
-	genApps := fs.Int("gen-apps", 0, "apps per generated scenario (0 = 10, the concurrently-live peak)")
-	genEvents := fs.Int("gen-events", 0, "timeline events per generated scenario (0 = 4 per app)")
-	genPressure := fs.Int("gen-pressure", 0, "memory-pressure knob of generated scenarios (0 = none)")
-	genInputs := fs.Int("gen-inputs", 0, "input gestures (tap/key/swipe) per generated scenario (0 = none)")
-	genFaults := fs.Int("gen-faults", 0, "fault-injection events per generated scenario (0 = none)")
-	workers := fs.Int("workers", 0, "fleet worker subprocesses (0 = serial in-process)")
-	shardSize := fs.Int("shard-size", 8, "fleet plan specs per shard")
-	checkpoint := fs.String("checkpoint", "", "fleet checkpoint journal path (existing journals resume)")
-	workerMode := fs.Bool("worker", false, "internal: run one fleet shard from a stdin envelope")
-
+	cmd, args := args[0], args[1:]
 	switch cmd {
 	case "list":
+		fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
+		fs.SetOutput(stderr)
+		if err := fs.Parse(args); err != nil {
+			return 2
+		}
 		fmt.Fprintln(stdout, "Agave workloads:")
 		for _, n := range core.AgaveNames() {
 			fmt.Fprintf(stdout, "  %s\n", n)
@@ -149,171 +139,113 @@ func Main(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "  %s\n", n)
 		}
 		return 0
-	case "run", "suite", "scenario", "fleet", "fig1", "fig2", "fig3", "fig4", "table1", "scalars", "all":
-		// parsed below
-	default:
-		usage(stderr)
-		return 2
+	case "run", "fig1", "fig2", "fig3", "fig4", "table1", "scalars", "all":
+		return paperCmd(stdout, stderr, cmd, args)
+	case "suite":
+		return suiteCmd(stdout, stderr, args)
+	case "scenario":
+		return scenarioCmd(stdout, stderr, args)
+	case "fleet":
+		return fleetCmd(stdout, stderr, args)
 	}
+	usage(stderr)
+	return 2
+}
 
+// newFlags returns subcommand cmd's flag set with the flags every simulating
+// subcommand reads registered on it, plus the function that resolves them,
+// after Parse, into the engine config. The resolver prints the diagnostic
+// and reports false when the flags select no valid config.
+func newFlags(cmd string, stderr io.Writer) (*flag.FlagSet, func() (core.Config, bool)) {
+	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	durationMS := fs.Int64("duration", 1000, "measured simulated milliseconds")
+	warmupMS := fs.Int64("warmup", 300, "warmup simulated milliseconds")
+	seed := fs.Uint64("seed", 1, "simulation seed")
+	noJIT := fs.Bool("nojit", false, "disable the trace JIT")
+	dirtyRect := fs.Bool("dirtyrect", false, "dirty-rect composition")
+	return fs, func() (core.Config, bool) {
+		// An empty or negative measured interval is a configuration
+		// mistake, never a measurement: fail loudly instead of emitting
+		// all-zero counters.
+		if *durationMS <= 0 {
+			fmt.Fprintf(stderr, "agave %s: -duration must be a positive number of milliseconds (got %d)\n", cmd, *durationMS)
+			return core.Config{}, false
+		}
+		if *warmupMS < 0 {
+			fmt.Fprintf(stderr, "agave %s: -warmup must not be negative (got %d)\n", cmd, *warmupMS)
+			return core.Config{}, false
+		}
+		return core.Config{
+			Seed:                 *seed,
+			Duration:             sim.Ticks(*durationMS) * sim.Millisecond,
+			Warmup:               sim.Ticks(*warmupMS) * sim.Millisecond,
+			Quantum:              sim.Millisecond,
+			DisableJIT:           *noJIT,
+			DirtyRectComposition: *dirtyRect,
+		}, true
+	}
+}
+
+// parseFlags parses args into fs. Stray positionals are a usage error, not
+// something to silently run without: `agave suite countdown.main` must not
+// sweep all 25 benchmarks because the user skipped -bench.
+func parseFlags(fs *flag.FlagSet, args []string, stderr io.Writer) bool {
+	if err := fs.Parse(args); err != nil {
+		return false
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "agave %s: unexpected argument %q", fs.Name(), fs.Arg(0))
+		if fs.Lookup("bench") != nil {
+			fmt.Fprint(stderr, " (benchmarks are selected with -bench)")
+		}
+		fmt.Fprintln(stderr)
+		return false
+	}
+	return true
+}
+
+// isSet reports whether the flag name was given on the command line, even
+// at its default value.
+func isSet(fs *flag.FlagSet, name string) bool {
+	set := false
+	fs.Visit(func(f *flag.Flag) { set = set || f.Name == name })
+	return set
+}
+
+const benchUsage = "comma-separated benchmark subset"
+
+// paperCmd executes run and the paper subcommands (fig1-fig4, table1,
+// scalars, all): simulate the benchmarks — run's positional one, or the
+// -bench subset, by default the full suite — and render the breakdowns,
+// figures, tables, or census.
+func paperCmd(stdout, stderr io.Writer, cmd string, args []string) int {
+	fs, config := newFlags(cmd, stderr)
 	var names []string
-	args = args[1:]
-	if cmd == "run" {
+	var benchList string
+	format := "table"
+	switch cmd {
+	case "run":
 		if len(args) == 0 {
 			fmt.Fprintln(stderr, "agave run: benchmark name required")
 			return 2
 		}
-		names = []string{args[0]}
-		args = args[1:]
-	}
-	if cmd == "scenario" {
-		// Scenario names are positional: `agave scenario commute drive`.
-		for len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-			names = append(names, args[0])
-			args = args[1:]
+		names, args = args[:1], args[1:]
+	default:
+		fs.StringVar(&benchList, "bench", "", benchUsage)
+		if cmd != "table1" && cmd != "scalars" {
+			fs.StringVar(&format, "format", format, "figure output: table, csv, bars")
 		}
 	}
-	if err := fs.Parse(args); err != nil {
+	if !parseFlags(fs, args, stderr) {
 		return 2
 	}
-	// The scenario subcommand also accepts names interleaved with flags
-	// (`agave scenario -parallel 8 commute -json`): flag.Parse stops at
-	// the first positional, so keep alternating between collecting
-	// leading names and re-parsing the remainder. Everywhere else stray
-	// positionals are a usage error, not something to silently run
-	// without: `agave suite countdown.main` must not sweep all 25
-	// benchmarks because the user skipped -bench.
-	if cmd == "scenario" {
-		for rest := fs.Args(); len(rest) > 0; rest = fs.Args() {
-			// A bare "-" is a positional to the flag package too;
-			// re-parsing it would never make progress.
-			if strings.HasPrefix(rest[0], "-") && rest[0] != "-" {
-				if err := fs.Parse(rest); err != nil {
-					return 2
-				}
-				continue
-			}
-			names = append(names, rest[0])
-			if err := fs.Parse(rest[1:]); err != nil {
-				return 2
-			}
-		}
-	} else if fs.NArg() > 0 {
-		fmt.Fprintf(stderr, "agave %s: unexpected argument %q (benchmarks are selected with -bench)\n",
-			cmd, fs.Arg(0))
+	cfg, ok := config()
+	if !ok {
 		return 2
 	}
-	if *benchList != "" && cmd != "scenario" {
-		names = strings.Split(*benchList, ",")
-	}
-
-	// An empty or negative measured interval is a configuration mistake,
-	// never a measurement: fail loudly instead of emitting all-zero counters.
-	if *durationMS <= 0 {
-		fmt.Fprintf(stderr, "agave %s: -duration must be a positive number of milliseconds (got %d)\n", cmd, *durationMS)
-		return 2
-	}
-	if *warmupMS < 0 {
-		fmt.Fprintf(stderr, "agave %s: -warmup must not be negative (got %d)\n", cmd, *warmupMS)
-		return 2
-	}
-
-	cfg := core.Config{
-		Seed:                 *seed,
-		Duration:             sim.Ticks(*durationMS) * sim.Millisecond,
-		Warmup:               sim.Ticks(*warmupMS) * sim.Millisecond,
-		Quantum:              sim.Millisecond,
-		DisableJIT:           *noJIT,
-		DirtyRectComposition: *dirtyRect,
-		MinFreePages:         *minFree,
-	}
-
-	if cmd == "suite" || cmd == "scenario" || cmd == "fleet" {
-		// -ablations sweeps base/nojit/dirtyrect as matrix cells; a base
-		// config that already forces one of those flags would make the
-		// cell labels lie (the "base" row would really be nojit).
-		if *ablations && (*noJIT || *dirtyRect) {
-			fmt.Fprintf(stderr, "agave %s: -ablations cannot be combined with -nojit or -dirtyrect (the ablation axis already sweeps them)\n", cmd)
-			return 2
-		}
-	}
-	// The subcommands share one FlagSet, so a flag belonging to the other
-	// subcommand parses fine — reject it instead of silently ignoring a
-	// requested scenario source. Visit sees every explicitly-set flag, so
-	// even a knob set to its default value is caught.
-	setFlags := make(map[string]bool)
-	fs.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
-	if cmd != "scenario" {
-		for _, f := range []string{"file", "export"} {
-			if setFlags[f] {
-				fmt.Fprintf(stderr, "agave %s: -%s applies to the scenario subcommand\n", cmd, f)
-				return 2
-			}
-		}
-	}
-	if cmd != "suite" && cmd != "fleet" {
-		for _, f := range []string{"scenario-dir", "gen-scenarios", "gen-seed", "gen-apps", "gen-events", "gen-pressure", "gen-inputs", "gen-faults"} {
-			if setFlags[f] {
-				fmt.Fprintf(stderr, "agave %s: -%s applies to the suite and fleet subcommands\n", cmd, f)
-				return 2
-			}
-		}
-	}
-	if cmd != "suite" && cmd != "scenario" && setFlags["parallel"] {
-		fmt.Fprintf(stderr, "agave %s: -parallel applies to the suite and scenario subcommands\n", cmd)
-		return 2
-	}
-	if cmd != "fleet" {
-		for _, f := range []string{"workers", "shard-size", "checkpoint", "worker"} {
-			if setFlags[f] {
-				fmt.Fprintf(stderr, "agave %s: -%s applies to the fleet subcommand\n", cmd, f)
-				return 2
-			}
-		}
-	}
-	// A generator knob without -gen-scenarios would configure zero
-	// generated sessions: reject the forgotten count, don't ignore the
-	// knobs.
-	if (cmd == "suite" || cmd == "fleet") && *genScenarios == 0 {
-		for _, f := range []string{"gen-seed", "gen-apps", "gen-events", "gen-pressure", "gen-inputs", "gen-faults"} {
-			if setFlags[f] {
-				fmt.Fprintf(stderr, "agave %s: -%s requires -gen-scenarios N\n", cmd, f)
-				return 2
-			}
-		}
-	}
-	if cmd == "scenario" {
-		// -export and -list print a document or listing and exit;
-		// combining either with names or -file would silently skip the
-		// requested runs.
-		if *exportName != "" && (len(names) > 0 || *scenarioFile != "") {
-			fmt.Fprintln(stderr, "agave scenario: -export cannot be combined with scenario names or -file")
-			return 2
-		}
-		if *listScenarios && (len(names) > 0 || setFlags["file"] || setFlags["export"]) {
-			fmt.Fprintln(stderr, "agave scenario: -list cannot be combined with scenario names, -file, or -export")
-			return 2
-		}
-	}
-	if cmd == "scenario" {
-		return scenarioCmd(stdout, stderr, cfg, names, *parallel, *seedList, *ablations, *asJSON,
-			*listScenarios, *scenarioFile, *exportName)
-	}
-	if cmd == "suite" || cmd == "fleet" {
-		gen := genFlags{n: *genScenarios, seed: *genSeed, apps: *genApps,
-			events: *genEvents, pressure: *genPressure, inputs: *genInputs, faults: *genFaults}
-		pf := planFlags{names: names, seedList: *seedList, ablations: *ablations,
-			scenarioList: *scenarioList, scenarioDir: *scenarioDir, gen: gen}
-		if cmd == "fleet" {
-			return fleetCmd(stdout, stderr, cfg, fleetFlags{
-				workers:    *workers,
-				shardSize:  *shardSize,
-				checkpoint: *checkpoint,
-				worker:     *workerMode,
-				asJSON:     *asJSON,
-			}, pf)
-		}
-		return suiteCmd(stdout, stderr, cfg, pf, *parallel, *asJSON)
+	if benchList != "" {
+		names = strings.Split(benchList, ",")
 	}
 
 	results, err := core.RunSuite(cfg, names...)
@@ -323,7 +255,7 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	}
 
 	emit := func(fig report.Figure) {
-		switch *format {
+		switch format {
 		case "csv":
 			report.WriteCSV(stdout, fig)
 		case "bars":
@@ -428,7 +360,42 @@ func uniqueScenarioAxis(stderr io.Writer, cmd string, names []string, set []*sce
 	return true
 }
 
-// genFlags bundles the generated-scenario knobs of the suite subcommand.
+// matrixFlags are the run-matrix flags of the suite, scenario and fleet
+// subcommands.
+type matrixFlags struct {
+	minFree   uint64
+	seedList  string
+	ablations bool
+	asJSON    bool
+}
+
+func (m *matrixFlags) register(fs *flag.FlagSet) {
+	fs.Uint64Var(&m.minFree, "minfree", 0, "lowmemorykiller cached-kill waterline in pages (scenario runs; 0 = default)")
+	fs.StringVar(&m.seedList, "seeds", "", "comma-separated seed axis of the run matrix")
+	fs.BoolVar(&m.ablations, "ablations", false, "add nojit and dirtyrect ablations to the matrix")
+	fs.BoolVar(&m.asJSON, "json", false, "emit the report as JSON")
+}
+
+// config resolves the engine config of a matrix subcommand: the simulation
+// flags through base, plus -minfree.
+func (m *matrixFlags) config(cmd string, stderr io.Writer, base func() (core.Config, bool)) (core.Config, bool) {
+	cfg, ok := base()
+	if !ok {
+		return cfg, false
+	}
+	// -ablations sweeps base/nojit/dirtyrect as matrix cells; a base
+	// config that already forces one of those flags would make the cell
+	// labels lie (the "base" row would really be nojit).
+	if m.ablations && (cfg.DisableJIT || cfg.DirtyRectComposition) {
+		fmt.Fprintf(stderr, "agave %s: -ablations cannot be combined with -nojit or -dirtyrect (the ablation axis already sweeps them)\n", cmd)
+		return cfg, false
+	}
+	cfg.MinFreePages = m.minFree
+	return cfg, true
+}
+
+// genFlags bundles the generated-scenario knobs of the suite and fleet
+// subcommands.
 type genFlags struct {
 	n        int
 	seed     uint64
@@ -443,20 +410,53 @@ type genFlags struct {
 // subcommands: both subcommands resolve an identical plan from identical
 // flags, so a fleet sweep always has an exact serial counterpart.
 type planFlags struct {
-	names        []string
-	seedList     string
-	ablations    bool
+	matrixFlags
+	benchList    string
 	scenarioList string
 	scenarioDir  string
 	gen          genFlags
 }
 
+func (pf *planFlags) register(fs *flag.FlagSet) {
+	pf.matrixFlags.register(fs)
+	fs.StringVar(&pf.benchList, "bench", "", benchUsage)
+	fs.StringVar(&pf.scenarioList, "scenarios", "", "comma-separated scenarios to add to the matrix")
+	fs.StringVar(&pf.scenarioDir, "scenario-dir", "", "add every *.json scenario in a directory to the matrix")
+	fs.IntVar(&pf.gen.n, "gen-scenarios", 0, "add N generated scenarios to the matrix (seeds gen-seed..gen-seed+N-1)")
+	fs.Uint64Var(&pf.gen.seed, "gen-seed", 1, "generation seed of the first generated scenario")
+	fs.IntVar(&pf.gen.apps, "gen-apps", 0, "apps per generated scenario (0 = 10, the concurrently-live peak)")
+	fs.IntVar(&pf.gen.events, "gen-events", 0, "timeline events per generated scenario (0 = 4 per app)")
+	fs.IntVar(&pf.gen.pressure, "gen-pressure", 0, "memory-pressure knob of generated scenarios (0 = none)")
+	fs.IntVar(&pf.gen.inputs, "gen-inputs", 0, "input gestures (tap/key/swipe) per generated scenario (0 = none)")
+	fs.IntVar(&pf.gen.faults, "gen-faults", 0, "fault-injection events per generated scenario (0 = none)")
+}
+
+// config is matrixFlags.config for the parsed plan flags of fs.
+func (pf *planFlags) config(fs *flag.FlagSet, stderr io.Writer, base func() (core.Config, bool)) (core.Config, bool) {
+	cfg, ok := pf.matrixFlags.config(fs.Name(), stderr, base)
+	if !ok {
+		return cfg, false
+	}
+	// A generator knob without -gen-scenarios would configure zero
+	// generated sessions: reject the forgotten count, don't ignore the
+	// knobs.
+	if pf.gen.n == 0 {
+		for _, f := range []string{"gen-seed", "gen-apps", "gen-events", "gen-pressure", "gen-inputs", "gen-faults"} {
+			if isSet(fs, f) {
+				fmt.Fprintf(stderr, "agave %s: -%s requires -gen-scenarios N\n", fs.Name(), f)
+				return cfg, false
+			}
+		}
+	}
+	return cfg, true
+}
+
 // buildPlan resolves the shared matrix flags into a run plan. On failure it
 // reports (zero plan, exit code, false) with the diagnostic already printed.
 func buildPlan(stderr io.Writer, cmd string, cfg core.Config, pf planFlags) (suite.Plan, int, bool) {
-	names := pf.names
-	if len(names) == 0 {
-		names = core.SuiteNames()
+	names := core.SuiteNames()
+	if pf.benchList != "" {
+		names = strings.Split(pf.benchList, ",")
 	}
 	known := make(map[string]bool)
 	for _, n := range core.SuiteNames() {
@@ -537,18 +537,29 @@ func buildPlan(stderr io.Writer, cmd string, cfg core.Config, pf planFlags) (sui
 // named scenarios, directory-loaded scenario files, and generated scenarios
 // are all plan axes — execute it on the worker pool, and render per-run rows
 // plus cross-seed summaries.
-func suiteCmd(stdout, stderr io.Writer, cfg core.Config, pf planFlags, parallel int, asJSON bool) int {
+func suiteCmd(stdout, stderr io.Writer, args []string) int {
+	fs, base := newFlags("suite", stderr)
+	var pf planFlags
+	pf.register(fs)
+	parallel := fs.Int("parallel", 0, "worker pool size (0 = all cores)")
+	if !parseFlags(fs, args, stderr) {
+		return 2
+	}
+	cfg, ok := pf.config(fs, stderr, base)
+	if !ok {
+		return 2
+	}
 	plan, code, ok := buildPlan(stderr, "suite", cfg, pf)
 	if !ok {
 		return code
 	}
-	outputs, err := core.RunPlan(cfg, plan, parallel)
+	outputs, err := core.RunPlan(cfg, plan, *parallel)
 	if err != nil {
 		fmt.Fprintln(stderr, "agave suite:", err)
 		return 1
 	}
-	if asJSON {
-		if err := report.WriteSuiteJSON(stdout, plan, parallel, outputs); err != nil {
+	if pf.asJSON {
+		if err := report.WriteSuiteJSON(stdout, plan, *parallel, outputs); err != nil {
 			fmt.Fprintln(stderr, "agave suite:", err)
 			return 1
 		}
@@ -575,14 +586,56 @@ func suiteCmd(stdout, stderr io.Writer, cfg core.Config, pf planFlags, parallel 
 // depend only on the plan and seeds — never on -parallel — and a file-loaded
 // copy of a bundled scenario renders a byte-identical default report at the
 // same seed (provenance appears only in the JSON document's source field).
-func scenarioCmd(stdout, stderr io.Writer, cfg core.Config, names []string,
-	parallel int, seedList string, ablations, asJSON, list bool, filePath, exportName string) int {
-	if list {
+func scenarioCmd(stdout, stderr io.Writer, args []string) int {
+	fs, base := newFlags("scenario", stderr)
+	var m matrixFlags
+	m.register(fs)
+	parallel := fs.Int("parallel", 0, "worker pool size (0 = all cores)")
+	list := fs.Bool("list", false, "list the bundled scenario library")
+	filePath := fs.String("file", "", "run a scenario loaded from a JSON scenario document")
+	exportName := fs.String("export", "", "print a bundled scenario as its canonical JSON document and exit")
+	// Scenario names are positional and may interleave with flags
+	// (`agave scenario -parallel 8 commute -json`): flag.Parse stops at
+	// the first positional, so keep alternating between collecting a
+	// name and re-parsing the remainder.
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	var names []string
+	for rest := fs.Args(); len(rest) > 0; rest = fs.Args() {
+		// A bare "-" is a positional to the flag package too;
+		// re-parsing it would never make progress.
+		if strings.HasPrefix(rest[0], "-") && rest[0] != "-" {
+			if err := fs.Parse(rest); err != nil {
+				return 2
+			}
+			continue
+		}
+		names = append(names, rest[0])
+		if err := fs.Parse(rest[1:]); err != nil {
+			return 2
+		}
+	}
+	cfg, ok := m.config("scenario", stderr, base)
+	if !ok {
+		return 2
+	}
+	// -export and -list print a document or listing and exit; combining
+	// either with names or -file would silently skip the requested runs.
+	if *exportName != "" && (len(names) > 0 || *filePath != "") {
+		fmt.Fprintln(stderr, "agave scenario: -export cannot be combined with scenario names or -file")
+		return 2
+	}
+	if *list && (len(names) > 0 || isSet(fs, "file") || isSet(fs, "export")) {
+		fmt.Fprintln(stderr, "agave scenario: -list cannot be combined with scenario names, -file, or -export")
+		return 2
+	}
+	if *list {
 		report.WriteScenarioList(stdout, scenario.Library())
 		return 0
 	}
-	if exportName != "" {
-		sc, err := scenario.ByName(exportName)
+	if *exportName != "" {
+		sc, err := scenario.ByName(*exportName)
 		if err != nil {
 			fmt.Fprintf(stderr, "agave scenario: %v\n", err)
 			return 1
@@ -596,8 +649,8 @@ func scenarioCmd(stdout, stderr io.Writer, cfg core.Config, names []string,
 		return 0
 	}
 	var set []*scenario.Scenario
-	if filePath != "" {
-		sc, err := scenario.FromFile(filePath)
+	if *filePath != "" {
+		sc, err := scenario.FromFile(*filePath)
 		if err != nil {
 			fmt.Fprintf(stderr, "agave scenario: %v\n", err)
 			return 1
@@ -617,21 +670,21 @@ func scenarioCmd(stdout, stderr io.Writer, cfg core.Config, names []string,
 	if !uniqueScenarioAxis(stderr, "scenario", names, set) {
 		return 1
 	}
-	seeds, ok := parseSeeds(stderr, "scenario", cfg.Seed, seedList)
+	seeds, ok := parseSeeds(stderr, "scenario", cfg.Seed, m.seedList)
 	if !ok {
 		return 2
 	}
 	plan := suite.Plan{Scenarios: names, ScenarioSet: set, Seeds: seeds,
 		Ablations: []suite.Ablation{suite.Baseline}}
-	if ablations {
+	if m.ablations {
 		plan.Ablations = suite.DefaultAblations
 	}
-	outputs, err := core.RunPlan(cfg, plan, parallel)
+	outputs, err := core.RunPlan(cfg, plan, *parallel)
 	if err != nil {
 		fmt.Fprintln(stderr, "agave scenario:", err)
 		return 1
 	}
-	if asJSON {
+	if m.asJSON {
 		if err := report.WriteScenarioJSON(stdout, plan, outputs); err != nil {
 			fmt.Fprintln(stderr, "agave scenario:", err)
 			return 1
@@ -661,5 +714,15 @@ commands:
   scalars   region/process/thread census           (paper Sec. III)
   all       everything
 
-run 'agave <command> -h' for flags.`)
+flags (each command rejects any other; 'agave <command> -h' explains them):
+  every command but list   -duration -warmup -seed -nojit -dirtyrect
+  run                      nothing else; the benchmark is the positional argument
+  fig1-fig4, all           -bench -format
+  table1, scalars          -bench
+  suite                    -bench -scenarios -scenario-dir -gen-scenarios -gen-seed
+                           -gen-apps -gen-events -gen-pressure -gen-inputs -gen-faults
+                           -seeds -ablations -minfree -parallel -json
+  scenario                 -list -file -export -seeds -ablations -minfree -parallel -json
+  fleet                    the suite flags but -parallel, plus -workers -shard-size
+                           -checkpoint -worker`)
 }

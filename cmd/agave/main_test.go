@@ -589,10 +589,10 @@ func TestScenarioRepeatedNameRejected(t *testing.T) {
 	}
 }
 
-// TestCrossSubcommandScenarioFlagsRejected: the subcommands share one
-// FlagSet, so a flag belonging to the other subcommand parses — it must be
-// rejected, never silently ignored (a requested scenario source silently
-// absent from the matrix is worse than an error).
+// TestCrossSubcommandScenarioFlagsRejected: a flag belonging to another
+// subcommand must be rejected, never silently ignored (a requested scenario
+// source silently absent from the matrix is worse than an error), and the
+// scenario source flags must not combine in ways that skip requested runs.
 func TestCrossSubcommandScenarioFlagsRejected(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -600,17 +600,17 @@ func TestCrossSubcommandScenarioFlagsRejected(t *testing.T) {
 		wantErr string
 	}{
 		{"suite -file", []string{"suite", "-bench", "countdown.main", "-file", "x.json"},
-			"-file applies to the scenario subcommand"},
+			"flag provided but not defined: -file"},
 		{"suite -export", []string{"suite", "-export", "commute"},
-			"-export applies to the scenario subcommand"},
+			"flag provided but not defined: -export"},
 		{"scenario -scenario-dir", []string{"scenario", "commute", "-scenario-dir", "d"},
-			"-scenario-dir applies to the suite and fleet subcommands"},
+			"flag provided but not defined: -scenario-dir"},
 		{"scenario -gen-scenarios", []string{"scenario", "commute", "-gen-scenarios", "3"},
-			"-gen-scenarios applies to the suite and fleet subcommands"},
+			"flag provided but not defined: -gen-scenarios"},
 		{"scenario -gen-apps", []string{"scenario", "commute", "-gen-apps", "12"},
-			"-gen-apps applies to the suite and fleet subcommands"},
+			"flag provided but not defined: -gen-apps"},
 		{"scenario -gen-seed at default", []string{"scenario", "commute", "-gen-seed", "1"},
-			"-gen-seed applies to the suite and fleet subcommands"},
+			"flag provided but not defined: -gen-seed"},
 		{"-export with names", []string{"scenario", "commute", "-export", "social-burst"},
 			"-export cannot be combined"},
 		{"-export with -file", []string{"scenario", "-export", "commute", "-file", "x.json"},
@@ -622,23 +622,23 @@ func TestCrossSubcommandScenarioFlagsRejected(t *testing.T) {
 		{"-list with names", []string{"scenario", "commute", "-list"},
 			"-list cannot be combined"},
 		{"run -file", []string{"run", "countdown.main", "-file", "x.json"},
-			"-file applies to the scenario subcommand"},
+			"flag provided but not defined: -file"},
 		{"fig1 -scenario-dir", []string{"fig1", "-scenario-dir", "d"},
-			"-scenario-dir applies to the suite and fleet subcommands"},
+			"flag provided but not defined: -scenario-dir"},
 		{"all -export", []string{"all", "-export", "commute"},
-			"-export applies to the scenario subcommand"},
+			"flag provided but not defined: -export"},
 		{"gen knob without count", []string{"suite", "-bench", "countdown.main", "-gen-apps", "12"},
 			"-gen-apps requires -gen-scenarios"},
 		{"gen seed without count", []string{"suite", "-bench", "countdown.main", "-gen-seed", "4"},
 			"-gen-seed requires -gen-scenarios"},
 		{"fleet -parallel", fleetArgs("-parallel", "4"),
-			"-parallel applies to the suite and scenario subcommands"},
+			"flag provided but not defined: -parallel"},
 		{"all -parallel", []string{"all", "-parallel", "4"},
-			"-parallel applies to the suite and scenario subcommands"},
+			"flag provided but not defined: -parallel"},
 		{"run -parallel", []string{"run", "countdown.main", "-parallel", "2"},
-			"-parallel applies to the suite and scenario subcommands"},
+			"flag provided but not defined: -parallel"},
 		{"fig1 -parallel at default", []string{"fig1", "-parallel", "0"},
-			"-parallel applies to the suite and scenario subcommands"},
+			"flag provided but not defined: -parallel"},
 	}
 	for _, tc := range cases {
 		code, _, errOut := invoke(t, tc.args...)

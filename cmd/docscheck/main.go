@@ -153,37 +153,11 @@ const scenarioKindDoc = "docs/SCENARIOS.md"
 
 // checkScenarioKindDocs verifies that every event kind the scenario codec
 // accepts (scenario.KindNames — the exact ParseKind spellings) appears as a
-// markdown heading in docs/SCENARIOS.md. The comparison strips heading
-// markers and backticks, so "### `faultBinder`" documents the kind
-// "faultBinder". A missing reference document is itself a finding, not an
-// infrastructure error: deleting the doc must fail the gate the same way
-// deleting one heading does.
+// markdown heading in docs/SCENARIOS.md (see checkHeadingDoc).
 func checkScenarioKindDocs(root string) []string {
-	path := filepath.Join(root, scenarioKindDoc)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return []string{fmt.Sprintf(
-			"%s: missing scenario schema reference (every scenario.ParseKind kind must be documented there)",
-			scenarioKindDoc)}
-	}
-	headings := make(map[string]bool)
-	for _, line := range strings.Split(string(data), "\n") {
-		if !strings.HasPrefix(line, "#") {
-			continue
-		}
-		h := strings.TrimSpace(strings.TrimLeft(line, "#"))
-		h = strings.Trim(h, "`")
-		headings[h] = true
-	}
-	var findings []string
-	for _, kind := range scenario.KindNames() {
-		if !headings[kind] {
-			findings = append(findings, fmt.Sprintf(
-				"%s: event kind %q has no heading (the codec accepts it; document it)",
-				scenarioKindDoc, kind))
-		}
-	}
-	return findings
+	return checkHeadingDoc(root, scenarioKindDoc,
+		"missing scenario schema reference (every scenario.ParseKind kind must be documented there)",
+		"event kind", "the codec accepts it; document it", scenario.KindNames())
 }
 
 // lintAnalyzerDoc is the linter reference checkLintAnalyzerDocs holds to the
@@ -192,32 +166,34 @@ const lintAnalyzerDoc = "docs/LINT.md"
 
 // checkLintAnalyzerDocs verifies that every analyzer registered in
 // internal/lint/analyzers appears as a markdown heading in docs/LINT.md,
-// exactly the contract checkScenarioKindDocs enforces for event kinds: the
-// document is held to analyzers.Names(), heading markers and backticks
-// stripped, and a missing document is itself a finding.
+// exactly the contract checkScenarioKindDocs enforces for event kinds.
 func checkLintAnalyzerDocs(root string) []string {
-	path := filepath.Join(root, lintAnalyzerDoc)
-	data, err := os.ReadFile(path)
+	return checkHeadingDoc(root, lintAnalyzerDoc,
+		"missing linter reference (every registered agavelint analyzer must be documented there)",
+		"analyzer", "it is registered; document it", analyzers.Names())
+}
+
+// checkHeadingDoc holds the reference document doc to a registry: every name
+// must appear as one of its markdown headings. The comparison strips heading
+// markers and backticks, so "### `faultBinder`" documents "faultBinder". A
+// missing document is itself a finding (missing says what belongs there),
+// not an infrastructure error: deleting the doc must fail the gate the same
+// way deleting one heading does.
+func checkHeadingDoc(root, doc, missing, noun, why string, names []string) []string {
+	data, err := os.ReadFile(filepath.Join(root, doc))
 	if err != nil {
-		return []string{fmt.Sprintf(
-			"%s: missing linter reference (every registered agavelint analyzer must be documented there)",
-			lintAnalyzerDoc)}
+		return []string{doc + ": " + missing}
 	}
 	headings := make(map[string]bool)
 	for _, line := range strings.Split(string(data), "\n") {
-		if !strings.HasPrefix(line, "#") {
-			continue
+		if strings.HasPrefix(line, "#") {
+			headings[strings.Trim(strings.TrimSpace(strings.TrimLeft(line, "#")), "`")] = true
 		}
-		h := strings.TrimSpace(strings.TrimLeft(line, "#"))
-		h = strings.Trim(h, "`")
-		headings[h] = true
 	}
 	var findings []string
-	for _, name := range analyzers.Names() {
+	for _, name := range names {
 		if !headings[name] {
-			findings = append(findings, fmt.Sprintf(
-				"%s: analyzer %q has no heading (it is registered; document it)",
-				lintAnalyzerDoc, name))
+			findings = append(findings, fmt.Sprintf("%s: %s %q has no heading (%s)", doc, noun, name, why))
 		}
 	}
 	return findings
