@@ -334,28 +334,26 @@ func parseSeeds(stderr io.Writer, cmd string, base uint64, seedList string) ([]u
 }
 
 // uniqueScenarioAxis verifies scenario names are unique across a plan's
-// whole scenario axis — named bundled scenarios plus the ad-hoc set. Two
-// cells sharing a name would render indistinguishable rows (the text matrix
-// carries no provenance column) and alias in summaries.
+// whole scenario axis — named bundled scenarios plus the ad-hoc set.
 func uniqueScenarioAxis(stderr io.Writer, cmd string, names []string, set []*scenario.Scenario) bool {
-	seen := make(map[string]bool, len(names)+len(set))
-	check := func(n string) bool {
+	all := append([]string(nil), names...)
+	for _, sc := range set {
+		all = append(all, sc.Name)
+	}
+	return uniqueAxis(stderr, cmd, "scenario", all)
+}
+
+// uniqueAxis verifies the names along one plan axis are unique. Two cells
+// sharing a name would render indistinguishable rows (the text matrix
+// carries no provenance column) and alias in summaries.
+func uniqueAxis(stderr io.Writer, cmd, axis string, names []string) bool {
+	seen := make(map[string]bool, len(names))
+	for _, n := range names {
 		if seen[n] {
-			fmt.Fprintf(stderr, "agave %s: duplicate scenario name %q on the scenario axis\n", cmd, n)
+			fmt.Fprintf(stderr, "agave %s: duplicate %s name %q on the %s axis\n", cmd, axis, n, axis)
 			return false
 		}
 		seen[n] = true
-		return true
-	}
-	for _, n := range names {
-		if !check(n) {
-			return false
-		}
-	}
-	for _, sc := range set {
-		if !check(sc.Name) {
-			return false
-		}
 	}
 	return true
 }
@@ -462,11 +460,15 @@ func buildPlan(stderr io.Writer, cmd string, cfg core.Config, pf planFlags) (sui
 	for _, n := range core.SuiteNames() {
 		known[n] = true
 	}
-	for _, n := range names {
-		if !known[n] {
-			fmt.Fprintf(stderr, "agave %s: unknown benchmark %q\n", cmd, n)
+	for i, n := range names {
+		names[i] = strings.TrimSpace(n)
+		if !known[names[i]] {
+			fmt.Fprintf(stderr, "agave %s: unknown benchmark %q\n", cmd, names[i])
 			return suite.Plan{}, 1, false
 		}
+	}
+	if !uniqueAxis(stderr, cmd, "benchmark", names) {
+		return suite.Plan{}, 1, false
 	}
 	var scenarios []string
 	if pf.scenarioList != "" {

@@ -589,6 +589,38 @@ func TestScenarioRepeatedNameRejected(t *testing.T) {
 	}
 }
 
+// TestBenchRepeatedNameRejected: the same benchmark twice on one axis is
+// rejected on both plan subcommands with the scenario axis's rule and exit
+// code — repeated cells would render identical rows and a summary counting
+// each seed twice.
+func TestBenchRepeatedNameRejected(t *testing.T) {
+	for _, cmd := range []string{"suite", "fleet"} {
+		args := append([]string{cmd, "-bench", "countdown.main,countdown.main", "-seeds", "1,2"}, quick...)
+		code, out, errOut := invoke(t, args...)
+		if code != 1 || !strings.Contains(errOut, `duplicate benchmark name "countdown.main" on the benchmark axis`) {
+			t.Fatalf("%s: code=%d stdout=%q stderr=%q", cmd, code, out, errOut)
+		}
+	}
+	// Padding does not hide a repeat: entries are trimmed before comparing.
+	code, _, errOut := invoke(t, "suite", "-bench", "countdown.main, countdown.main")
+	if code != 1 || !strings.Contains(errOut, `duplicate benchmark name "countdown.main"`) {
+		t.Fatalf("padded repeat: code=%d stderr=%q", code, errOut)
+	}
+}
+
+// TestBenchEntriesTrimmed: -bench entries are trimmed the way -scenarios
+// entries are, so "a, b" selects a and b.
+func TestBenchEntriesTrimmed(t *testing.T) {
+	args := append([]string{"suite", "-bench", "countdown.main, 999.specrand"}, quick...)
+	code, out, errOut := invoke(t, args...)
+	if code != 0 {
+		t.Fatalf("code=%d stderr=%q", code, errOut)
+	}
+	if !strings.Contains(out, "suite: 2 runs (2 benchmarks × 1 seeds × 1 ablations)") {
+		t.Fatalf("suite header missing:\n%s", out)
+	}
+}
+
 // TestCrossSubcommandScenarioFlagsRejected: a flag belonging to another
 // subcommand must be rejected, never silently ignored (a requested scenario
 // source silently absent from the matrix is worse than an error), and the

@@ -2,9 +2,7 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -23,25 +21,18 @@ func TestRepositoryIsClean(t *testing.T) {
 	}
 }
 
-// TestVetProbes covers the two probes go vet sends before trusting a vettool:
-// -flags must answer an empty JSON flag list, and -V=full must answer a
-// version line carrying a content hash so vet's result cache keys on the
-// binary's identity.
-func TestVetProbes(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := Main([]string{"-flags"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-flags exit %d, stderr %q", code, stderr.String())
-	}
-	if got := strings.TrimSpace(stdout.String()); got != "[]" {
-		t.Errorf("-flags printed %q, want []", got)
-	}
-
-	stdout.Reset()
-	if code := Main([]string{"-V=full"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-V=full exit %d, stderr %q", code, stderr.String())
-	}
-	if got := stdout.String(); !strings.Contains(got, "buildID=") {
-		t.Errorf("-V=full printed %q, want a buildID= token", got)
+// TestUsage pins the one accepted invocation shape, agavelint [moduledir]:
+// any flag or a second argument is a usage error, never a directory named
+// "-flags".
+func TestUsage(t *testing.T) {
+	for _, args := range [][]string{{"-flags"}, {"-V=full"}, {"-list"}, {"a", "b"}} {
+		var stdout, stderr bytes.Buffer
+		if code := Main(args, &stdout, &stderr); code != 2 {
+			t.Errorf("agavelint %v = %d, want 2", args, code)
+		}
+		if !strings.Contains(stderr.String(), "usage: agavelint [moduledir]") {
+			t.Errorf("agavelint %v stderr = %q, want the usage line", args, stderr.String())
+		}
 	}
 }
 
@@ -100,65 +91,5 @@ func Rows(counts map[string]int) []string {
 	out := stdout.String()
 	if !strings.Contains(out, "accumulates in map order") || !strings.Contains(out, "(maporder)") {
 		t.Errorf("missing maporder finding in:\n%s", out)
-	}
-}
-
-// TestUnitCheckerMode drives the .cfg path the way go vet does: export data
-// for the dependencies comes from the build cache via go list, and the tool
-// must report the violation on stderr, exit 1, and leave the vetx output
-// file behind.
-func TestUnitCheckerMode(t *testing.T) {
-	if _, err := exec.LookPath("go"); err != nil {
-		t.Skip("go tool unavailable")
-	}
-	root := writeModule(t, map[string]string{
-		"p/p.go": "package p\n\nimport \"time\"\n\nfunc Stamp() time.Time { return time.Now() }\n",
-	})
-
-	// Resolve export data for time and everything beneath it.
-	out, err := exec.Command("go", "list", "-export", "-deps", "-f", "{{.ImportPath}}\t{{.Export}}", "time").Output()
-	if err != nil {
-		t.Fatalf("go list -export: %v", err)
-	}
-	packageFile := make(map[string]string)
-	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
-		path, export, ok := strings.Cut(line, "\t")
-		if ok && export != "" {
-			packageFile[path] = export
-		}
-	}
-	if packageFile["time"] == "" {
-		t.Fatal("go list produced no export data for time")
-	}
-
-	vetx := filepath.Join(root, "p.vetx")
-	cfg := vetConfig{
-		ID:          "synthetic/p",
-		Compiler:    "gc",
-		Dir:         filepath.Join(root, "p"),
-		ImportPath:  "synthetic/p",
-		GoFiles:     []string{filepath.Join(root, "p", "p.go")},
-		ImportMap:   map[string]string{"time": "time"},
-		PackageFile: packageFile,
-		VetxOutput:  vetx,
-	}
-	data, err := json.Marshal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgPath := filepath.Join(root, "p.cfg")
-	if err := os.WriteFile(cfgPath, data, 0o666); err != nil {
-		t.Fatal(err)
-	}
-
-	var stdout, stderr bytes.Buffer
-	if code := Main([]string{cfgPath}, &stdout, &stderr); code != 1 {
-		t.Fatalf("unit mode exit %d, want 1\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
-	}
-	if msg := stderr.String(); !strings.Contains(msg, "(walltime)") {
-		t.Errorf("unit mode stderr missing walltime finding:\n%s", msg)
-	}
-	if _, err := os.Stat(vetx); err != nil {
-		t.Errorf("vetx output not written: %v", err)
 	}
 }

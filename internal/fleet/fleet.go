@@ -71,8 +71,11 @@ func (l *Line) Encode() ([]byte, error) {
 
 // DecodeLine parses a wire line into dst, zeroing it first so a reused dst
 // never leaks fields from the previous line; the Metrics slice capacity is
-// retained across calls.
+// retained across calls. The retained elements are zeroed too: encoding/json
+// decodes an array element into the old value in place, so a metric object
+// missing "v" would otherwise keep the previous line's value.
 func DecodeLine(data []byte, dst *Line) error {
+	clear(dst.Metrics[:cap(dst.Metrics)])
 	*dst = Line{Metrics: dst.Metrics[:0]}
 	return json.Unmarshal(data, dst)
 }

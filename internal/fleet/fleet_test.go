@@ -49,7 +49,7 @@ func syntheticRun(_ json.RawMessage, s suite.RunSpec) (Line, error) {
 	return l, nil
 }
 
-func testPlan(t *testing.T) WirePlan {
+func testPlan(t testing.TB) WirePlan {
 	t.Helper()
 	sc, err := scenario.ByName("memory-storm")
 	if err != nil {

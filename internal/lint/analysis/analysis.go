@@ -22,7 +22,8 @@ type Analyzer struct {
 	// directives, and as a docs/LINT.md heading. Lower-case, no spaces.
 	Name string
 
-	// Doc is the one-paragraph invariant statement shown by `agavelint -list`.
+	// Doc is the one-sentence invariant statement; the analyzer's
+	// docs/LINT.md heading carries the full reference.
 	Doc string
 
 	// Run applies the analyzer to one type-checked package. The returned
@@ -31,8 +32,8 @@ type Analyzer struct {
 	Run func(*Pass) (any, error)
 
 	// Finish, if non-nil, runs once after Run has seen every package in
-	// the load set. Whole-program diagnostics (lock-order cycles) are
-	// reported here.
+	// the load set. Whole-program diagnostics (lock-order cycles, broken
+	// markdown links) are reported here.
 	Finish func(*Summary) error
 }
 

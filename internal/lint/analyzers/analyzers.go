@@ -1,15 +1,16 @@
 // Package analyzers holds the agavelint analyzer registry: the static
-// encodings of this repository's determinism and attribution invariants.
-// Every analyzer here has a heading in docs/LINT.md (cmd/docscheck enforces
-// that), analysistest fixtures under testdata/src, and honors the
-// //agave:allow directive applied by the internal/lint driver.
+// encodings of this repository's determinism, attribution and documentation
+// invariants. Every analyzer here has a heading in docs/LINT.md (the
+// doccover analyzer enforces that), analysistest fixtures under
+// testdata/src, and honors the //agave:allow directive applied by the
+// internal/lint driver.
 package analyzers
 
 import "agave/internal/lint/analysis"
 
 // All returns the full registry in the order analyzers run and document.
 func All() []*analysis.Analyzer {
-	return []*analysis.Analyzer{Walltime, Globalrand, Maporder, Mutexorder, Docref}
+	return []*analysis.Analyzer{Walltime, Globalrand, Maporder, Mutexorder, Docref, Pkgdoc, Doccover}
 }
 
 // Names returns the registered analyzer names, in registry order. This is

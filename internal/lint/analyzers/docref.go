@@ -1,6 +1,8 @@
 package analyzers
 
 import (
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -9,30 +11,33 @@ import (
 	"agave/internal/lint/analysis"
 )
 
-// Docref verifies that every markdown file a Go comment mentions ("see
-// docs/ARCHITECTURE.md") exists, resolved against the module root (the
-// nearest ancestor directory holding a go.mod) or the referencing file's own
-// directory. Godoc prose is where renamed design documents dangle the
-// longest. This check started life as cmd/docscheck invariant 3 and moved
-// here so all comment-to-markdown enforcement lives in the shared analysis
-// driver, suppressible and fixture-tested like every other invariant;
-// docscheck keeps the markdown-side gates (links, headings).
+// Docref holds the module's prose to the files it names. Every markdown file
+// a Go comment mentions ("see docs/ARCHITECTURE.md") must exist, resolved
+// against the module root (the nearest ancestor directory holding a go.mod)
+// or the referencing file's own directory: godoc prose is where renamed
+// design documents dangle the longest. Every relative link in the module's
+// markdown files must resolve to an existing file or directory, so the
+// architecture map and README never point at paths a refactor moved. The
+// comment check runs per package; the link check runs once, in Finish, over
+// each module root the packages live in.
 var Docref = &analysis.Analyzer{
 	Name: "docref",
-	Doc:  "every markdown file referenced from a Go comment must exist at the module root or beside the file",
-	Run:  runDocref,
+	Doc: "every markdown file referenced from a Go comment must exist at the module root or beside the file, " +
+		"and every relative markdown link in the module must resolve",
+	Run:    runDocref,
+	Finish: finishDocref,
 }
 
 // docrefPattern matches a bare markdown-file reference inside prose, e.g.
 // "docs/ARCHITECTURE.md" or "ROADMAP.md".
 var docrefPattern = regexp.MustCompile(`\b[A-Za-z0-9][A-Za-z0-9_./-]*\.md\b`)
 
+// runDocref checks the package's comments and returns its module root, the
+// tree Finish walks for markdown links.
 func runDocref(pass *analysis.Pass) (any, error) {
-	rootCache := make(map[string]string)
+	dir := filepath.Dir(pass.Fset.Position(pass.Files[0].Pos()).Filename)
+	root := moduleRoot(dir)
 	for _, file := range pass.Files {
-		path := pass.Fset.Position(file.Pos()).Filename
-		dir := filepath.Dir(path)
-		root := moduleRoot(rootCache, dir)
 		for _, cg := range file.Comments {
 			for _, c := range cg.List {
 				if strings.Contains(c.Text, "://") {
@@ -49,7 +54,80 @@ func runDocref(pass *analysis.Pass) (any, error) {
 			}
 		}
 	}
-	return nil, nil
+	return root, nil
+}
+
+// mdLink matches inline markdown links and images; the destination is
+// group 1. Reference-style links are rare enough here that inline coverage
+// is the useful gate.
+var mdLink = regexp.MustCompile(`!?\[[^\]]*\]\(([^)\s]+)[^)]*\)`)
+
+// finishDocref walks every module root the analyzed packages returned, in
+// load order, and checks each markdown file once.
+func finishDocref(sum *analysis.Summary) error {
+	seenRoot := make(map[string]bool)
+	seenFile := make(map[string]bool)
+	for _, r := range sum.Results {
+		root, _ := r.Value.(string)
+		if root == "" || seenRoot[root] {
+			continue
+		}
+		seenRoot[root] = true
+		if err := checkMarkdownLinks(sum, root, seenFile); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkMarkdownLinks resolves every relative link destination in the
+// markdown files under root, skipping VCS metadata, fixture trees and
+// tool-local state. External, mailto: and intra-document links are not
+// checked, and a URL fragment is dropped before resolving. A broken link is
+// reported at its markdown line, through a file added to the FileSet.
+func checkMarkdownLinks(sum *analysis.Summary, root string, seen map[string]bool) error {
+	return filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			switch d.Name() {
+			case ".git", "testdata", ".claude":
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(d.Name(), ".md") || seen[path] {
+			return nil
+		}
+		seen[path] = true
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		var tf *token.File
+		offset := 0
+		for _, line := range strings.SplitAfter(string(data), "\n") {
+			for _, m := range mdLink.FindAllStringSubmatchIndex(line, -1) {
+				dest := line[m[2]:m[3]]
+				if strings.Contains(dest, "://") || strings.HasPrefix(dest, "mailto:") ||
+					strings.HasPrefix(dest, "#") {
+					continue
+				}
+				target, _, _ := strings.Cut(dest, "#")
+				if fileExists(filepath.Join(filepath.Dir(path), target)) {
+					continue
+				}
+				if tf == nil {
+					tf = sum.Fset.AddFile(path, -1, len(data))
+					tf.SetLinesForContent(data)
+				}
+				sum.Reportf(tf.Pos(offset+m[0]), "broken link %q: no such file or directory", dest)
+			}
+			offset += len(line)
+		}
+		return nil
+	})
 }
 
 func fileExists(path string) bool {
@@ -59,22 +137,15 @@ func fileExists(path string) bool {
 
 // moduleRoot walks up from dir to the nearest directory holding a go.mod,
 // or "" when none exists (a bare fixture tree).
-func moduleRoot(cache map[string]string, dir string) string {
-	if root, ok := cache[dir]; ok {
-		return root
-	}
-	root := ""
+func moduleRoot(dir string) string {
 	for d := dir; ; {
 		if fileExists(filepath.Join(d, "go.mod")) {
-			root = d
-			break
+			return d
 		}
 		parent := filepath.Dir(d)
 		if parent == d {
-			break
+			return ""
 		}
 		d = parent
 	}
-	cache[dir] = root
-	return root
 }

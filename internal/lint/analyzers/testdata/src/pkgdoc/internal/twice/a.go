@@ -1,0 +1,2 @@
+// Package twice does things. want `package twice has 2 package doc comments \(a.go, b.go\)`
+package twice

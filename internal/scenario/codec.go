@@ -60,18 +60,12 @@ type eventDoc struct {
 }
 
 // kindNames maps the wire spelling of every event kind, in declaration
-// order; it is the inverse of Kind.String.
+// order; it is the inverse of Kind.String. The doccover analyzer reads this
+// literal to hold docs/SCENARIOS.md to the full kind set.
 var kindNames = []string{
 	"launch", "switchto", "background", "kill", "idle", "pressure",
 	"tap", "key", "swipe",
 	"faultBinder", "crashService", "killMediaserver", "corruptParcel",
-}
-
-// KindNames returns the wire spelling of every event kind ParseKind
-// accepts, in declaration order, as a fresh copy. cmd/docscheck uses it to
-// hold docs/SCENARIOS.md to the full kind set.
-func KindNames() []string {
-	return append([]string(nil), kindNames...)
 }
 
 // ParseKind resolves the wire spelling of an event kind ("launch",
