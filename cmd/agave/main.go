@@ -39,7 +39,7 @@
 //
 //	-bench a,b,c       restrict the benchmark axis (default: full suite)
 //	-parallel 0        worker pool size (0 = all cores, 1 = serial)
-//	-seeds 1,2,3       seed axis of the run matrix (default: -seed)
+//	-seeds 1,2,3       seed axis of the run matrix (default: -seed; no repeats)
 //	-ablations         add the nojit and dirtyrect ablations to the matrix
 //	-scenarios a,b     add bundled scenarios to the matrix as a plan axis
 //	-scenario-dir d    add every *.json scenario document in d to the matrix
@@ -83,7 +83,7 @@
 //	-export name     print a bundled scenario as canonical JSON and exit
 //	-minfree N       cached-app kill waterline in pages (0 = 8192 = 32 MB)
 //	-parallel 0      worker pool size (0 = all cores, 1 = serial)
-//	-seeds 1,2,3     seed axis of the run matrix (default: -seed)
+//	-seeds 1,2,3     seed axis of the run matrix (default: -seed; no repeats)
 //	-ablations       add the nojit and dirtyrect ablations to the matrix
 //	-json            emit the scenario report as JSON
 //
@@ -98,6 +98,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -315,7 +316,9 @@ func paperCmd(stdout, stderr io.Writer, cmd string, args []string) int {
 	return 0
 }
 
-// parseSeeds resolves the -seeds axis, falling back to the single -seed.
+// parseSeeds resolves the -seeds axis, falling back to the single -seed. A
+// repeated seed is rejected: its runs would alias, rendering identical rows
+// under a summary that counts them twice.
 func parseSeeds(stderr io.Writer, cmd string, base uint64, seedList string) ([]uint64, bool) {
 	seeds := []uint64{base}
 	if seedList == "" {
@@ -326,6 +329,10 @@ func parseSeeds(stderr io.Writer, cmd string, base uint64, seedList string) ([]u
 		v, err := strconv.ParseUint(strings.TrimSpace(f), 10, 64)
 		if err != nil {
 			fmt.Fprintf(stderr, "agave %s: bad -seeds entry %q: %v\n", cmd, f, err)
+			return nil, false
+		}
+		if slices.Contains(seeds, v) {
+			fmt.Fprintf(stderr, "agave %s: bad -seeds entry %q: seed %d repeated\n", cmd, f, v)
 			return nil, false
 		}
 		seeds = append(seeds, v)

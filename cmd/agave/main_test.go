@@ -143,6 +143,23 @@ func TestSuiteMalformedSeeds(t *testing.T) {
 	}
 }
 
+// TestRepeatedSeedRejected: a seed named twice on the -seeds axis is a
+// usage error on every subcommand that reads the axis, before anything runs
+// — repeated seeds would render identical rows under a summary counting
+// them twice. Padding does not hide a repeat.
+func TestRepeatedSeedRejected(t *testing.T) {
+	for _, args := range [][]string{
+		{"suite", "-bench", "countdown.main", "-seeds", "1,1"},
+		{"scenario", "commute", "-seeds", "2,1,2"},
+		{"fleet", "-bench", "countdown.main", "-seeds", "1, 1"},
+	} {
+		code, out, errOut := invoke(t, append(args, quick...)...)
+		if code != 2 || !strings.Contains(errOut, "repeated") || out != "" {
+			t.Errorf("%v: code=%d stdout=%q stderr=%q", args, code, out, errOut)
+		}
+	}
+}
+
 func TestSuiteMatrixRuns(t *testing.T) {
 	args := append([]string{"suite", "-bench", "countdown.main,999.specrand",
 		"-seeds", "1,2", "-parallel", "4"}, quick...)

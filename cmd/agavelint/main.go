@@ -1,15 +1,16 @@
 // Command agavelint runs the repository's analyzer suite
 // (internal/lint/analyzers) over every package of a module: determinism and
-// attribution invariants in the Go source, plus the documentation
-// invariants that hold package comments, markdown links and the reference
-// documents to the code.
+// attribution invariants in the Go source, the rule that every internal/
+// function has a non-test caller, and the documentation invariants that
+// hold package comments, markdown links and the reference documents to the
+// code.
 //
 // Usage: agavelint [moduledir] (default "."). The tool finds the nearest
 // go.mod at or above moduledir, type-checks every non-test package against
 // $GOROOT/src, and prints surviving findings; it needs no build cache and
 // no network. All packages are analyzed in one run, so whole-program checks
-// (mutexorder's lock-order graph, docref's markdown walk) see the module
-// whole.
+// (mutexorder's lock-order graph, docref's markdown walk, unusedfunc's
+// reference set) see the module whole.
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load failure.
 // docs/LINT.md documents each analyzer and the //agave:allow directive.

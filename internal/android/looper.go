@@ -42,7 +42,6 @@ type Message struct {
 // crosses kernels.
 type Looper struct {
 	q    *kernel.MsgQueue
-	quit bool
 	free []*Message
 }
 
@@ -120,30 +119,6 @@ func (l *Looper) Loop(ex *kernel.Exec, dispatch func(ex *kernel.Exec, m Message)
 	}
 }
 
-// TryDrain processes at most max pending messages without blocking.
-func (l *Looper) TryDrain(ex *kernel.Exec, max int, dispatch func(ex *kernel.Exec, m Message)) int {
-	n := 0
-	for n < max {
-		raw, ok := l.q.TryRecv()
-		if !ok {
-			return n
-		}
-		m := *raw.(*Message)
-		l.putMsg(raw.(*Message))
-		if m.What == -1 {
-			l.quit = true
-			return n
-		}
-		if m.Run != nil {
-			m.Run(ex)
-		} else {
-			dispatch(ex, m)
-		}
-		n++
-	}
-	return n
-}
-
 // AsyncPool is the framework's AsyncTask executor: a fixed pool of worker
 // threads named "AsyncTask #N" (they account to the "AsyncTask" group that
 // Table I ranks at 7.6 % of suite references).
@@ -185,9 +160,6 @@ func NewAsyncPool(proc *kernel.Process, n int) *AsyncPool {
 func (p *AsyncPool) Submit(ex *kernel.Exec, task func(ex *kernel.Exec)) {
 	ex.Send(p.q, task)
 }
-
-// Pending reports queued-but-unclaimed tasks.
-func (p *AsyncPool) Pending() int { return p.q.Len() }
 
 // heartbeat runs a native daemon's periodic activity: a small burst of
 // work every interval. It is how init, rild, vold, netd and friends earn

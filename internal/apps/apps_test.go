@@ -115,8 +115,16 @@ func TestForegroundHidesLauncherBackgroundDoesNot(t *testing.T) {
 	// Compare the benchmark process's own drawing: the background variant
 	// has no surface, so its gralloc writes must be zero (the residual
 	// gralloc traffic belongs to launcher/systemui).
-	fgGralloc := kFg.Stats.ByRegionForProcess("benchmark", stats.DataWrite)["gralloc-buffer"]
-	bgGralloc := kBg.Stats.ByRegionForProcess("benchmark", stats.DataWrite)["gralloc-buffer"]
+	grallocWrites := func(c *stats.Collector) (n uint64) {
+		for _, e := range c.Entries() {
+			if e.Proc == "benchmark" && e.Kind == stats.DataWrite && e.Region == "gralloc-buffer" {
+				n += e.Count
+			}
+		}
+		return n
+	}
+	fgGralloc := grallocWrites(kFg.Stats)
+	bgGralloc := grallocWrites(kBg.Stats)
 	if fgGralloc == 0 {
 		t.Fatal("foreground music never drew")
 	}
@@ -127,10 +135,11 @@ func TestForegroundHidesLauncherBackgroundDoesNot(t *testing.T) {
 
 func TestPMInstallSpawnsDexopt(t *testing.T) {
 	k := launchAndRun(t, "pm.apk.view", 1200*sim.Millisecond)
-	if k.FindProcess("dexopt") == nil {
+	byProc := k.Stats.ByProcess()
+	if byProc["dexopt"] == 0 {
 		t.Fatal("pm.apk.view never spawned dexopt")
 	}
-	if k.FindProcess("id.defcontainer") == nil {
+	if byProc["id.defcontainer"] == 0 {
 		t.Fatal("pm.apk.view never spawned id.defcontainer")
 	}
 }

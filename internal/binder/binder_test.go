@@ -1,6 +1,7 @@
 package binder
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -13,8 +14,8 @@ func TestParcelRoundtrip(t *testing.T) {
 	p := NewParcel()
 	p.WriteInt32(-42)
 	p.WriteString("android.app.IActivityManager")
-	p.WriteInt64(1 << 40)
-	p.WriteBlob([]byte{1, 2, 3})
+	p.WriteInt32(1 << 30)
+	p.WriteString("")
 	p.Rewind()
 	if v, err := p.ReadInt32(); err != nil || v != -42 {
 		t.Fatalf("ReadInt32 = %d, %v", v, err)
@@ -22,11 +23,11 @@ func TestParcelRoundtrip(t *testing.T) {
 	if s, err := p.ReadString(); err != nil || s != "android.app.IActivityManager" {
 		t.Fatalf("ReadString = %q, %v", s, err)
 	}
-	if v, err := p.ReadInt64(); err != nil || v != 1<<40 {
-		t.Fatalf("ReadInt64 = %d, %v", v, err)
+	if v, err := p.ReadInt32(); err != nil || v != 1<<30 {
+		t.Fatalf("ReadInt32 = %d, %v", v, err)
 	}
-	if b, err := p.ReadBlob(); err != nil || len(b) != 3 || b[2] != 3 {
-		t.Fatalf("ReadBlob = %v, %v", b, err)
+	if s, err := p.ReadString(); err != nil || s != "" {
+		t.Fatalf("ReadString = %q, %v", s, err)
 	}
 }
 
@@ -34,8 +35,15 @@ func TestParcelUnderrun(t *testing.T) {
 	p := NewParcel()
 	p.WriteInt32(1)
 	p.Rewind()
-	if _, err := p.ReadInt64(); err == nil {
+	if _, err := p.ReadInt32(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.ReadInt32(); err == nil {
 		t.Fatal("underrun read succeeded")
+	}
+	p.Rewind()
+	if _, err := p.ReadString(); err == nil {
+		t.Fatal("string longer than the parcel read succeeded")
 	}
 }
 
@@ -50,21 +58,21 @@ func TestParcelAlignment(t *testing.T) {
 	if v, err := p.ReadInt32(); err != nil || v != 7 {
 		t.Fatalf("post-pad int = %d, %v", v, err)
 	}
-	if p.Len()%4 != 0 {
-		t.Fatalf("parcel length %d not word aligned", p.Len())
+	if len(p.buf)%4 != 0 {
+		t.Fatalf("parcel length %d not word aligned", len(p.buf))
 	}
 }
 
 func TestParcelRoundtripProperty(t *testing.T) {
-	f := func(a int32, s string, b int64) bool {
+	f := func(a int32, s string, b int32) bool {
 		p := NewParcel()
 		p.WriteInt32(a)
 		p.WriteString(s)
-		p.WriteInt64(b)
+		p.WriteInt32(b)
 		p.Rewind()
 		ga, e1 := p.ReadInt32()
 		gs, e2 := p.ReadString()
-		gb, e3 := p.ReadInt64()
+		gb, e3 := p.ReadInt32()
 		return e1 == nil && e2 == nil && e3 == nil && ga == a && gs == s && gb == b
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -152,12 +160,12 @@ func TestTransactionBuffersAttributed(t *testing.T) {
 	k, d, server, client := setup(t)
 	d.Register(server, "echo", 1, func(ex *kernel.Exec, txn *Transaction) {
 		txn.Reply = NewParcel()
-		txn.Reply.WriteBlob(make([]byte, 4096))
+		txn.Reply.WriteString(strings.Repeat("r", 4096))
 	})
 	k.SpawnThread(client, "main", "main", func(ex *kernel.Exec) {
 		ex.PushCode(client.Layout.Text)
 		data := NewParcel()
-		data.WriteBlob(make([]byte, 8192))
+		data.WriteString(strings.Repeat("d", 8192))
 		if _, err := d.Call(ex, "echo", 1, data); err != nil {
 			t.Error(err)
 		}

@@ -30,9 +30,6 @@ func NewParcel() *Parcel {
 	return p
 }
 
-// Len reports the marshalled byte size.
-func (p *Parcel) Len() int { return len(p.buf) }
-
 // Words reports the 4-byte word count (the unit the copy cost model uses).
 func (p *Parcel) Words() uint64 { return uint64((len(p.buf) + 3) / 4) }
 
@@ -41,24 +38,10 @@ func (p *Parcel) WriteInt32(v int32) {
 	p.buf = binary.LittleEndian.AppendUint32(p.buf, uint32(v))
 }
 
-// WriteInt64 appends a 64-bit value.
-func (p *Parcel) WriteInt64(v int64) {
-	p.buf = binary.LittleEndian.AppendUint64(p.buf, uint64(v))
-}
-
 // WriteString appends a length-prefixed string.
 func (p *Parcel) WriteString(s string) {
 	p.WriteInt32(int32(len(s)))
 	p.buf = append(p.buf, s...)
-	for len(p.buf)%4 != 0 {
-		p.buf = append(p.buf, 0)
-	}
-}
-
-// WriteBlob appends a length-prefixed opaque byte blob.
-func (p *Parcel) WriteBlob(b []byte) {
-	p.WriteInt32(int32(len(b)))
-	p.buf = append(p.buf, b...)
 	for len(p.buf)%4 != 0 {
 		p.buf = append(p.buf, 0)
 	}
@@ -72,16 +55,6 @@ func (p *Parcel) ReadInt32() (int32, error) {
 	v := binary.LittleEndian.Uint32(p.buf[p.off:])
 	p.off += 4
 	return int32(v), nil
-}
-
-// ReadInt64 consumes a 64-bit value.
-func (p *Parcel) ReadInt64() (int64, error) {
-	if p.off+8 > len(p.buf) {
-		return 0, fmt.Errorf("binder: parcel underrun at %d", p.off)
-	}
-	v := binary.LittleEndian.Uint64(p.buf[p.off:])
-	p.off += 8
-	return int64(v), nil
 }
 
 // ReadString consumes a length-prefixed string.
@@ -99,23 +72,6 @@ func (p *Parcel) ReadString() (string, error) {
 		p.off++
 	}
 	return s, nil
-}
-
-// ReadBlob consumes a length-prefixed blob.
-func (p *Parcel) ReadBlob() ([]byte, error) {
-	n, err := p.ReadInt32()
-	if err != nil {
-		return nil, err
-	}
-	if n < 0 || p.off+int(n) > len(p.buf) {
-		return nil, fmt.Errorf("binder: bad blob length %d", n)
-	}
-	b := p.buf[p.off : p.off+int(n)]
-	p.off += int(n)
-	for p.off%4 != 0 && p.off < len(p.buf) {
-		p.off++
-	}
-	return b, nil
 }
 
 // Rewind resets the read cursor.

@@ -186,9 +186,6 @@ func (c *Context) Charge(n sim.Ticks) {
 	}
 }
 
-// Used reports ticks consumed under the current grant.
-func (c *Context) Used() sim.Ticks { return c.used }
-
 // YieldNow ends the quantum early without consuming extra ticks; the thread
 // stays runnable (sched_yield).
 func (c *Context) YieldNow() {

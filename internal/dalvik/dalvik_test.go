@@ -104,7 +104,7 @@ func TestJITCompilesHotMethod(t *testing.T) {
 		}
 		ex.SleepFor(5 * sim.Millisecond)
 		vm.Exec(ex, d, "sumLoop", 3)
-		compiles = vm.CompilesDone()
+		compiles = vm.compilesDone
 	})
 	if compiles == 0 {
 		t.Fatal("hot method never compiled")
@@ -127,7 +127,7 @@ func TestJITDisabled(t *testing.T) {
 			vm.Exec(ex, d, "sumLoop", 3)
 		}
 		ex.SleepFor(5 * sim.Millisecond)
-		if vm.CompilesDone() != 0 {
+		if vm.compilesDone != 0 {
 			t.Error("compiles happened with JIT disabled")
 		}
 	})
@@ -144,7 +144,7 @@ func TestGCRunsUnderAllocationPressure(t *testing.T) {
 			vm.Exec(ex, d, "objectChurn", 1000)
 		}
 		ex.SleepFor(10 * sim.Millisecond)
-		if vm.GCRuns() == 0 {
+		if vm.gcRuns == 0 {
 			t.Error("no GC cycles despite churn")
 		}
 	})
@@ -187,9 +187,10 @@ func TestLoadDexIdempotent(t *testing.T) {
 }
 
 func TestVMServiceThreadsExist(t *testing.T) {
-	k := harness(t, true, func(ex *kernel.Exec, vm *VM, d *LoadedDex) {})
+	var p *kernel.Process
+	harness(t, true, func(ex *kernel.Exec, vm *VM, d *LoadedDex) { p = ex.P })
 	groups := map[string]bool{}
-	for _, th := range k.Threads() {
+	for _, th := range p.Threads {
 		groups[th.Group] = true
 	}
 	for _, want := range []string{"GC", "Compiler", "HeapWorker", "Signal Catcher", "JDWP"} {
@@ -201,13 +202,13 @@ func TestVMServiceThreadsExist(t *testing.T) {
 
 func TestHeapWrapModelsFullGC(t *testing.T) {
 	harness(t, false, func(ex *kernel.Exec, vm *VM, d *LoadedDex) {
-		before := vm.GCRuns()
+		before := vm.gcRuns
 		// Allocate more than the whole heap in chunks.
 		for i := 0; i < 30; i++ {
 			vm.AllocArray(ex, (HeapSize/4)/30*8)
 		}
 		_ = before
-		if vm.HeapUsed() > HeapSize {
+		if vm.heapTop > HeapSize {
 			t.Error("heap top ran past the arena")
 		}
 	})

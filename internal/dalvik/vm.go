@@ -118,7 +118,6 @@ type VM struct {
 	heapCommit   uint64 // bytes of HeapVMA currently resident (>= heapTop)
 	allocSinceGC uint64
 	gcRuns       uint64
-	trimsDone    uint64
 
 	gcQueue      *kernel.MsgQueue
 	compileQueue *kernel.MsgQueue
@@ -234,9 +233,6 @@ func (vm *VM) LoadDex(ex *kernel.Exec, file *dex.File) *LoadedDex {
 	return d
 }
 
-// Dex returns the loaded image for name, or nil.
-func (vm *VM) Dex(name string) *LoadedDex { return vm.dexes[name] }
-
 // Adopt wraps an already-mapped image (for example the loader-mapped
 // "framework.jar@classes.dex" region) as a LoadedDex backed by file, so
 // framework-bytecode interpretation reads the image the linker mapped. The
@@ -312,16 +308,6 @@ func ForkVM(parent *VM, child *kernel.Process, services bool) *VM {
 	return vm
 }
 
-// GCRuns reports completed collection cycles (for tests and ablations).
-func (vm *VM) GCRuns() uint64 { return vm.gcRuns }
-
-// Trims reports completed TrimMemory passes.
-func (vm *VM) Trims() uint64 { return vm.trimsDone }
-
-// HeapResidentBytes reports how many bytes of the dalvik heap currently pin
-// physical pages.
-func (vm *VM) HeapResidentBytes() uint64 { return vm.heapCommit }
-
 // trimSlack is how much headroom above the live bump pointer a trim keeps
 // committed, so the next few allocations do not immediately fault pages
 // back in.
@@ -348,12 +334,8 @@ func (vm *VM) TrimMemory(ex *kernel.Exec) uint64 {
 	}
 	released := vm.Proc.AS.Discard(vm.HeapVMA, vm.heapCommit-keep)
 	vm.heapCommit -= released
-	vm.trimsDone++
 	return released
 }
-
-// CompilesDone reports completed JIT compilations.
-func (vm *VM) CompilesDone() uint64 { return vm.compilesDone }
 
 // ForceCompile marks method in d as JIT-compiled without charging any
 // compiler work, so tests and benchmarks can run it under the compiled cost
@@ -361,9 +343,6 @@ func (vm *VM) CompilesDone() uint64 { return vm.compilesDone }
 func (vm *VM) ForceCompile(d *LoadedDex, method string) {
 	vm.compiled[methodKey{dex: d.File.Name, method: method}] = true
 }
-
-// HeapUsed reports the current bump-pointer offset.
-func (vm *VM) HeapUsed() uint64 { return vm.heapTop }
 
 // --- managed heap ---
 

@@ -34,9 +34,8 @@ func TestAssembleAndLookup(t *testing.T) {
 	if len(f.Methods) != 2 {
 		t.Fatalf("methods = %d, want 2", len(f.Methods))
 	}
-	m, ok := f.Method("main")
-	if !ok || m.In != 1 {
-		t.Fatalf("main lookup failed: %v %v", m, ok)
+	if i := f.MethodIndex("main"); i != 0 || f.Methods[i].In != 1 {
+		t.Fatalf("main index = %d, want 0 with one in-register", i)
 	}
 	if f.MethodIndex("double") != 1 {
 		t.Fatalf("double index = %d", f.MethodIndex("double"))
@@ -51,7 +50,7 @@ func TestBranchResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _ := f.Method("main")
+	m := f.Methods[f.MethodIndex("main")]
 	// instr 2 is if_ge -> done (instr 6); rel = 6 - 3 = 3
 	if got := m.Code[2].Imm(); got != 3 {
 		t.Fatalf("if_ge rel = %d, want 3", got)
@@ -261,7 +260,7 @@ func TestCommentsAndWhitespace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _ := f.Method("m")
+	m := f.Methods[f.MethodIndex("m")]
 	if len(m.Code) != 2 {
 		t.Fatalf("code len = %d, want 2", len(m.Code))
 	}

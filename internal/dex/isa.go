@@ -176,15 +176,6 @@ func (f *File) Add(m *Method) error {
 	return nil
 }
 
-// Method looks a method up by name.
-func (f *File) Method(name string) (*Method, bool) {
-	i, ok := f.index[name]
-	if !ok {
-		return nil, false
-	}
-	return f.Methods[i], true
-}
-
 // MethodIndex returns the index of the named method, or -1.
 func (f *File) MethodIndex(name string) int {
 	i, ok := f.index[name]

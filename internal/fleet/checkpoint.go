@@ -52,7 +52,7 @@ func CreateCheckpoint(path string, h Header) (*Checkpoint, error) {
 // no trailing newline, the signature of a SIGKILL mid-append — is dropped
 // silently; that shard simply reruns. Any other unparsable content is a
 // hard error: the journal is corrupt and resuming it would silently skip
-// work.
+// work. So is a record the ordered merge cannot fold (checkCells).
 func OpenCheckpoint(path string, want Header) ([]*ShardResult, *Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -97,6 +97,9 @@ func OpenCheckpoint(path string, want Header) ([]*ShardResult, *Checkpoint, erro
 		if seen[p.Shard] {
 			return nil, nil, fmt.Errorf("checkpoint %s: corrupt record at line %d: shard %d recorded twice", path, i+2, p.Shard)
 		}
+		if err := checkCells(p.Cells); err != nil {
+			return nil, nil, fmt.Errorf("checkpoint %s: corrupt record at line %d: %v", path, i+2, err)
+		}
 		seen[p.Shard] = true
 		partials = append(partials, p)
 	}
@@ -114,6 +117,23 @@ func OpenCheckpoint(path string, want Header) ([]*ShardResult, *Checkpoint, erro
 		}
 	}
 	return partials, &Checkpoint{path: path, f: f}, nil
+}
+
+// checkCells rejects the cell lists the ordered merge cannot fold: a null
+// cell, or metrics not strictly sorted by name (Cell.merge binary-searches
+// them, so an out-of-order or repeated name would fold silently wrong).
+func checkCells(cells []*Cell) error {
+	for i, c := range cells {
+		if c == nil {
+			return fmt.Errorf("cell %d is null", i)
+		}
+		for j := 1; j < len(c.Metrics); j++ {
+			if c.Metrics[j-1].Name >= c.Metrics[j].Name {
+				return fmt.Errorf("cell %d: metric %q does not sort strictly after %q", i, c.Metrics[j].Name, c.Metrics[j-1].Name)
+			}
+		}
+	}
+	return nil
 }
 
 // Append journals one completed shard and syncs it to disk.

@@ -69,6 +69,38 @@ func TestCheckpointCorrupt(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "shard 9 out of range") {
 		t.Fatalf("out-of-range record error = %v", err)
 	}
+
+	// Records the ordered merge cannot fold: Restore would nil-dereference
+	// a null cell, and Cell.merge's binary search folds metrics that are
+	// out of name order, or repeated, silently wrong.
+	metric := func(name string) string {
+		return fmt.Sprintf(`{"name":%q,"n":1,"sum":1,"min":1,"max":1}`, name)
+	}
+	cell := func(metrics ...string) string {
+		return `{"unit":"alpha","ablation":"base","runs":1,"metrics":[` + strings.Join(metrics, ",") + `]}`
+	}
+	for _, tc := range []struct{ cells, want string }{
+		{`[null]`, "cell 0 is null"},
+		{`[` + cell(metric("a")) + `,null]`, "cell 1 is null"},
+		{`[` + cell(metric("b"), metric("a")) + `]`, `cell 0: metric "a" does not sort strictly after "b"`},
+		{`[` + cell(metric("a"), metric("a")) + `]`, `cell 0: metric "a" does not sort strictly after "a"`},
+	} {
+		record := strings.Replace(goodRecord, `"cells":[]`, `"cells":`+tc.cells, 1)
+		path = writeCheckpoint(t, header("h"), record)
+		partials, cp, err := OpenCheckpoint(path, wantHeader("h"))
+		if err == nil {
+			cp.Close()
+			a := NewAggregator(24, 5, "h")
+			for _, p := range partials {
+				a.Restore(p)
+			}
+			t.Fatalf("record with cells %s accepted", tc.cells)
+		}
+		want := fmt.Sprintf("checkpoint %s: corrupt record at line 2: %s", path, tc.want)
+		if err.Error() != want {
+			t.Errorf("error = %q\nwant    %q", err, want)
+		}
+	}
 }
 
 // TestCheckpointTornTailTolerated pins crash-safety: a final line without a

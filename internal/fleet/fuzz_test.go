@@ -1,8 +1,13 @@
 package fleet
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
+
+	"agave/internal/suite"
 )
 
 // FuzzDecodeLine fuzzes the result-line decoder, the coordinator's parse of
@@ -69,6 +74,99 @@ func FuzzDecodeLine(f *testing.F) {
 		}
 		if !reflect.DeepEqual(fresh, reused) {
 			t.Fatalf("reused dst differs from a fresh decode:\nfresh:  %+v\nreused: %+v\ninput: %q", fresh, reused, data)
+		}
+	})
+}
+
+// FuzzOpenCheckpoint fuzzes the checkpoint reader, the parse of a journal
+// a killed fleet left on disk. The corpus is seeded with a real journal:
+// CreateCheckpoint plus one Append per sealed shard of the test plan,
+// folded by an Aggregator from synthetic lines, along with its torn and
+// hostile variants. The invariants:
+//
+//  1. OpenCheckpoint, then Restore of every partial into a fresh
+//     Aggregator, never panics, whatever the bytes.
+//  2. An accepted journal reopens to identical partials: the torn-tail
+//     truncation of the first open is a fixed point.
+func FuzzOpenCheckpoint(f *testing.F) {
+	plan, err := testPlan(f).SuitePlan()
+	if err != nil {
+		f.Fatal(err)
+	}
+	const shardSize = 5
+	total := plan.Size()
+	want := Header{PlanHash: "fuzz", Runs: total, Shards: suite.NumShards(total, shardSize), ShardSize: shardSize}
+	path := filepath.Join(f.TempDir(), "seed.ckpt")
+	cp, err := CreateCheckpoint(path, want)
+	if err != nil {
+		f.Fatal(err)
+	}
+	a := NewAggregator(total, shardSize, want.PlanHash)
+	for _, s := range plan.Specs() {
+		l, err := syntheticRun(nil, s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		raw, err := l.Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		shard := s.Index / shardSize
+		if err := a.Observe(shard, raw, &l); err != nil {
+			f.Fatal(err)
+		}
+		if _, hi := suite.ShardRange(total, shardSize, shard); s.Index == hi-1 {
+			p, err := a.FinishShard(shard, -1, "")
+			if err != nil {
+				f.Fatal(err)
+			}
+			if err := cp.Append(p); err != nil {
+				f.Fatal(err)
+			}
+		}
+	}
+	if err := cp.Close(); err != nil {
+		f.Fatal(err)
+	}
+	partials, cp, err := OpenCheckpoint(path, want)
+	if err != nil || len(partials) != want.Shards {
+		f.Fatalf("seed journal reopened to %d of %d shards: %v", len(partials), want.Shards, err)
+	}
+	cp.Close()
+	journal, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(journal)
+	f.Add(journal[:len(journal)-7]) // torn final record
+	first := bytes.IndexByte(journal, '\n') + 1
+	f.Add(journal[:first]) // header only
+	f.Add(append(journal[:first:first], `{"shard":0,"lines":5,"cells":[null]}`+"\n"...))
+	f.Add(bytes.Replace(journal, []byte(`"name":"total_refs"`), []byte(`"name":"zzz"`), 1))
+
+	// One journal path per fuzz process: inputs run one at a time, and a
+	// fresh directory per input would dominate the cost of an exec.
+	path = filepath.Join(f.TempDir(), "fleet.ckpt")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		partials, cp, err := OpenCheckpoint(path, want)
+		if err != nil {
+			return // rejected input: the only requirement is no panic
+		}
+		cp.Close()
+		again, cp, err := OpenCheckpoint(path, want)
+		if err != nil {
+			t.Fatalf("accepted journal does not reopen: %v\ninput: %q", err, data)
+		}
+		cp.Close()
+		if !reflect.DeepEqual(partials, again) {
+			t.Fatalf("reopen is not a fixed point:\nfirst:  %+v\nsecond: %+v\ninput: %q", partials, again, data)
+		}
+		a := NewAggregator(total, shardSize, want.PlanHash)
+		for _, p := range partials {
+			a.Restore(p) // errors are fine; panics are not
 		}
 	})
 }

@@ -60,9 +60,6 @@ type pendEntry struct {
 // within one quantum Now is constant.
 func (ex *Exec) Now() sim.Ticks { return ex.K.Clock.Now() }
 
-// RNG returns the process-private random source.
-func (ex *Exec) RNG() *sim.RNG { return ex.P.RNG }
-
 func (ex *Exec) account(region stats.RegionID, kind stats.Kind, n uint64) {
 	if n == 0 {
 		return
@@ -163,25 +160,6 @@ func (ex *Exec) Write(v *mem.VMA, n uint64) {
 	}
 }
 
-// ReadAt records one data read at addr, resolving the containing VMA. It
-// panics on unmapped addresses: workload models must not wander.
-func (ex *Exec) ReadAt(addr mem.Addr) {
-	ex.account(ex.mustFind(addr).Region, stats.DataRead, 1)
-}
-
-// WriteAt records one data write at addr.
-func (ex *Exec) WriteAt(addr mem.Addr) {
-	ex.account(ex.mustFind(addr).Region, stats.DataWrite, 1)
-}
-
-func (ex *Exec) mustFind(addr mem.Addr) *mem.VMA {
-	v := ex.P.AS.Find(addr)
-	if v == nil {
-		panic(fmt.Sprintf("kernel: %s touched unmapped address %#x", ex.T, addr))
-	}
-	return v
-}
-
 // Work describes one iteration of a homogeneous inner loop.
 type Work struct {
 	Fetch  uint64 // instructions per iteration
@@ -236,18 +214,6 @@ func (ex *Exec) Copy(dst, src *mem.VMA, words, fetchPerWord uint64) {
 		ex.charge(n * fetchPerWord)
 		done += n
 	}
-}
-
-// CopyBytes performs a real byte copy between VMA backing stores, accounting
-// one reference per word on each side plus two instructions per word.
-func (ex *Exec) CopyBytes(dst *mem.VMA, doff uint64, src *mem.VMA, soff, n uint64) {
-	// Take the src view before the dst view: Slice may grow or thaw a store
-	// (replacing its backing array), which would orphan a view taken earlier
-	// in the same expression and lose the copy.
-	from := src.Slice(soff, n)
-	copy(dst.Slice(doff, n), from)
-	words := (n + 3) / 4
-	ex.Copy(dst, src, words, 2)
 }
 
 // StackWork models register-spill traffic: n instructions with a ~2:1

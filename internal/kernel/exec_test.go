@@ -60,34 +60,6 @@ func TestPopCodeUnderflowPanics(t *testing.T) {
 	}
 }
 
-func TestReadWriteAtResolveVMA(t *testing.T) {
-	k := execHarness(t, func(ex *Exec, p *Process) {
-		ex.ReadAt(p.Layout.Heap.Start + 64)
-		ex.WriteAt(p.Layout.Stack.End - 8)
-	})
-	if k.Stats.ByRegion(stats.DataRead)[mem.RegionHeap] != 1 {
-		t.Fatal("ReadAt misattributed")
-	}
-	if k.Stats.ByRegion(stats.DataWrite)[mem.RegionStack] != 1 {
-		t.Fatal("WriteAt misattributed")
-	}
-}
-
-func TestUnmappedAccessPanics(t *testing.T) {
-	panicked := false
-	execHarness(t, func(ex *Exec, p *Process) {
-		defer func() {
-			if recover() != nil {
-				panicked = true
-			}
-		}()
-		ex.ReadAt(0xdead0000) // far outside any mapping
-	})
-	if !panicked {
-		t.Fatal("unmapped access did not panic")
-	}
-}
-
 func TestDoAccountsExactCounts(t *testing.T) {
 	k := execHarness(t, func(ex *Exec, p *Process) {
 		ex.Do(Work{Fetch: 3, Reads: 2, Writes: 1, Data: p.Layout.Heap}, 10_000)
@@ -137,22 +109,6 @@ func TestCopyAccountsBothSides(t *testing.T) {
 	if f := k.Stats.ByRegion(stats.IFetch)[mem.RegionAppBinary]; f != 2000 {
 		t.Fatalf("Copy fetches = %d", f)
 	}
-}
-
-func TestCopyBytesMovesRealData(t *testing.T) {
-	execHarness(t, func(ex *Exec, p *Process) {
-		src := p.Layout.MapAnon(p.AS, 1<<12)
-		dst := p.Layout.MapAnon(p.AS, 1<<12)
-		for i := 0; i < 256; i++ {
-			src.Bytes()[i] = byte(i)
-		}
-		ex.CopyBytes(dst, 0, src, 0, 256)
-		for i := 0; i < 256; i++ {
-			if dst.Bytes()[i] != byte(i) {
-				t.Fatalf("CopyBytes lost data at %d", i)
-			}
-		}
-	})
 }
 
 func TestChargeAdvancesSimulatedTime(t *testing.T) {

@@ -137,10 +137,6 @@ func (k *Kernel) addResidentPages(delta int64) {
 	k.usedPages = uint64(int64(k.usedPages) + delta)
 }
 
-// UsedPages reports the machine-wide resident set in pages (excluding the
-// pressure balloon).
-func (k *Kernel) UsedPages() uint64 { return k.usedPages }
-
 // FreePages reports how many pages of the physical budget remain. With no
 // budget configured the machine is effectively infinite.
 func (k *Kernel) FreePages() uint64 {
@@ -163,25 +159,6 @@ func (k *Kernel) Balloon(deltaPages int64) {
 		return
 	}
 	k.balloonPages = uint64(int64(k.balloonPages) + deltaPages)
-}
-
-// RNG returns the kernel's root random source.
-func (k *Kernel) RNG() *sim.RNG { return k.rng }
-
-// Processes returns every process ever created, in creation order.
-func (k *Kernel) Processes() []*Process { return k.procs }
-
-// Threads returns every thread ever created, in creation order.
-func (k *Kernel) Threads() []*Thread { return k.threads }
-
-// FindProcess returns the first process with the given name, or nil.
-func (k *Kernel) FindProcess(name string) *Process {
-	for _, p := range k.procs {
-		if p.Name == name {
-			return p
-		}
-	}
-	return nil
 }
 
 // ProcessCount counts processes created so far (including kernel ones).

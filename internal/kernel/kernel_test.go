@@ -12,13 +12,23 @@ func newTestKernel() *Kernel {
 	return New(Config{Quantum: 10 * sim.Microsecond, Seed: 42})
 }
 
+// findProcess returns the first process with the given name, or nil.
+func findProcess(k *Kernel, name string) *Process {
+	for _, p := range k.procs {
+		if p.Name == name {
+			return p
+		}
+	}
+	return nil
+}
+
 func TestBootHasSwapperAndAta(t *testing.T) {
 	k := newTestKernel()
 	defer k.Shutdown()
-	if k.FindProcess("swapper") == nil {
+	if findProcess(k, "swapper") == nil {
 		t.Fatal("no swapper")
 	}
-	if k.FindProcess("ata_sff/0") == nil {
+	if findProcess(k, "ata_sff/0") == nil {
 		t.Fatal("no ata_sff/0")
 	}
 	if k.Swapper.PID != 0 {
@@ -271,8 +281,8 @@ func TestDeterministicWholeRun(t *testing.T) {
 			k.SpawnThread(p, "worker", "worker", func(ex *Exec) {
 				ex.PushCode(p.Layout.Text)
 				for j := 0; j < 50; j++ {
-					ex.Fetch(uint64(100 + ex.RNG().Intn(100)))
-					ex.SleepFor(sim.Ticks(ex.RNG().Range(10, 100)) * sim.Microsecond)
+					ex.Fetch(uint64(100 + ex.P.RNG.Intn(100)))
+					ex.SleepFor(sim.Ticks(ex.P.RNG.Range(10, 100)) * sim.Microsecond)
 				}
 			})
 		}
@@ -379,7 +389,7 @@ func TestKillProcessStopsThreadsMidRun(t *testing.T) {
 		t.Fatalf("victim issued %d refs after being killed", victimRefs-atKill)
 	}
 	// Census still counts the dead process; the live count does not.
-	if k.FindProcess("victim") == nil {
+	if findProcess(k, "victim") == nil {
 		t.Fatal("killed process vanished from the process table")
 	}
 	if lc, tc := k.LiveProcessCount(), k.ProcessCount(); lc >= tc {

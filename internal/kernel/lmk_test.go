@@ -158,7 +158,7 @@ func TestNoLMKWithoutConfig(t *testing.T) {
 	if k.LMKEnabled() {
 		t.Fatal("LMK enabled without MemPages/MinFree")
 	}
-	if k.FindProcess("kswapd0") != nil {
+	if findProcess(k, "kswapd0") != nil {
 		t.Fatal("kswapd0 spawned on an unconstrained machine")
 	}
 	if k.FreePages() != ^uint64(0) {

@@ -109,9 +109,6 @@ func (wq *WaitQueue) WakeAll() int {
 	return n
 }
 
-// Waiters reports the number of threads currently parked on wq.
-func (wq *WaitQueue) Waiters() int { return len(wq.waiters) - wq.head }
-
 // MsgQueue is a deterministic FIFO mailbox built on two wait queues. It
 // backs Android Looper message queues, Binder transaction queues, media
 // buffer queues, and the storage request queue. msgs is a head-indexed ring

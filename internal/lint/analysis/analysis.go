@@ -33,7 +33,7 @@ type Analyzer struct {
 
 	// Finish, if non-nil, runs once after Run has seen every package in
 	// the load set. Whole-program diagnostics (lock-order cycles, broken
-	// markdown links) are reported here.
+	// markdown links, unreferenced functions) are reported here.
 	Finish func(*Summary) error
 }
 

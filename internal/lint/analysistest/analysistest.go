@@ -36,6 +36,8 @@ var wantMarker = regexp.MustCompile("\\bwant\\s+`")
 // //agave:allow handling included — and enforces the want expectations.
 // known lists extra analyzer names directives in the fixtures may cite;
 // the analyzer under test is always known.
+//
+//agave:allow unusedfunc the package exists for analyzer tests; only _test.go files call it
 func Run(t *testing.T, srcRoot string, a *analysis.Analyzer, known []string, pkgPaths ...string) {
 	t.Helper()
 	fset := token.NewFileSet()

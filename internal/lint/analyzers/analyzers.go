@@ -1,6 +1,6 @@
 // Package analyzers holds the agavelint analyzer registry: the static
-// encodings of this repository's determinism, attribution and documentation
-// invariants. Every analyzer here has a heading in docs/LINT.md (the
+// encodings of this repository's determinism, attribution, reference and
+// documentation invariants. Every analyzer here has a heading in docs/LINT.md (the
 // doccover analyzer enforces that), analysistest fixtures under
 // testdata/src, and honors the //agave:allow directive applied by the
 // internal/lint driver.
@@ -10,7 +10,7 @@ import "agave/internal/lint/analysis"
 
 // All returns the full registry in the order analyzers run and document.
 func All() []*analysis.Analyzer {
-	return []*analysis.Analyzer{Walltime, Globalrand, Maporder, Mutexorder, Docref, Pkgdoc, Doccover}
+	return []*analysis.Analyzer{Walltime, Globalrand, Maporder, Mutexorder, Docref, Pkgdoc, Doccover, Unusedfunc}
 }
 
 // Names returns the registered analyzer names, in registry order. This is

@@ -45,6 +45,13 @@ func TestPkgdoc(t *testing.T) {
 		"pkgdoc/outside")
 }
 
+// TestUnusedfunc loads lib together with tool, its one importer outside
+// internal/, and outside, a package with its own dead code out of scope.
+func TestUnusedfunc(t *testing.T) {
+	analysistest.Run(t, "testdata/src", analyzers.Unusedfunc, nil,
+		"unusedfunc/internal/lib", "unusedfunc/tool", "unusedfunc/outside")
+}
+
 // Each TestDoccover* test runs one registry over both doccover trees. The
 // doccover tree pairs a missing heading or an undocumented tag with
 // documented, allow-suppressed and (for the fleet) "-", empty-name,
@@ -145,7 +152,7 @@ func TestDocrefMarkdownLinks(t *testing.T) {
 // validates against them.
 func TestRegistry(t *testing.T) {
 	names := analyzers.Names()
-	want := []string{"walltime", "globalrand", "maporder", "mutexorder", "docref", "pkgdoc", "doccover"}
+	want := []string{"walltime", "globalrand", "maporder", "mutexorder", "docref", "pkgdoc", "doccover", "unusedfunc"}
 	if strings.Join(names, ",") != strings.Join(want, ",") {
 		t.Fatalf("registry = %v, want %v", names, want)
 	}

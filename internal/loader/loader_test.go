@@ -36,14 +36,14 @@ func TestCatalogSizeSupportsRegionCensus(t *testing.T) {
 func TestLoadMapsEverything(t *testing.T) {
 	as, layout := newSpace()
 	lm := Load(as, layout, BaseSet())
-	if lm.Count() != len(BaseSet()) {
-		t.Fatalf("mapped %d, want %d", lm.Count(), len(BaseSet()))
+	if len(lm.images) != len(BaseSet()) {
+		t.Fatalf("mapped %d, want %d", len(lm.images), len(BaseSet()))
 	}
 	v := lm.VMA("libdvm.so")
 	if v == nil || v.Name != "libdvm.so" {
 		t.Fatal("libdvm.so not mapped")
 	}
-	if as.Find(v.Start) != v {
+	if as.FindByName("libdvm.so") != v {
 		t.Fatal("mapping not registered in address space")
 	}
 }
@@ -65,8 +65,8 @@ func TestLoadOneIdempotent(t *testing.T) {
 	if a != b {
 		t.Fatal("double load created two images")
 	}
-	if lm.Count() != 1 {
-		t.Fatalf("count = %d", lm.Count())
+	if len(lm.images) != 1 {
+		t.Fatalf("count = %d", len(lm.images))
 	}
 }
 
@@ -86,8 +86,8 @@ func TestRebindFindsInherited(t *testing.T) {
 	Load(as, layout, []string{"libc.so", "libdvm.so"})
 	child := as.Clone()
 	lm := Rebind(child, layout, []string{"libc.so", "libdvm.so", "libvlccore.so"})
-	if lm.Count() != 3 {
-		t.Fatalf("rebind mapped %d, want 3", lm.Count())
+	if len(lm.images) != 3 {
+		t.Fatalf("rebind mapped %d, want 3", len(lm.images))
 	}
 	// Inherited libraries must resolve to the child's VMAs, not be
 	// remapped.
@@ -113,8 +113,8 @@ func TestSetsAreLoadable(t *testing.T) {
 	for _, set := range [][]string{BaseSet(), SystemServerSet(), MediaServerSet()} {
 		as, layout := newSpace()
 		lm := Load(as, layout, set)
-		if lm.Count() != len(set) {
-			t.Fatalf("set of %d mapped %d", len(set), lm.Count())
+		if len(lm.images) != len(set) {
+			t.Fatalf("set of %d mapped %d", len(set), len(lm.images))
 		}
 	}
 	if len(SystemServerSet()) <= len(BaseSet()) || len(MediaServerSet()) <= len(BaseSet()) {

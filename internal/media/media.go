@@ -425,20 +425,6 @@ func (p *Player) Start(ex *kernel.Exec, d *binder.Driver) error {
 	return nil
 }
 
-// Stop halts playback (Binder call).
-func (p *Player) Stop(ex *kernel.Exec, d *binder.Driver) error {
-	data := binder.NewParcel()
-	data.WriteInt32(p.id)
-	reply, err := d.Call(ex, "media.player", opStop, data)
-	if err != nil {
-		return err
-	}
-	if rc, _ := reply.ReadInt32(); rc != 0 {
-		return fmt.Errorf("media: stop failed (%d)", rc)
-	}
-	return nil
-}
-
 // Seek repositions playback (Binder call): the mediaserver side walks the
 // demux index and resyncs the bitstream from storage. This is the media
 // half of an input-driven scrub — the UI's seekbar drag lands here.

@@ -1,6 +1,7 @@
 package media
 
 import (
+	"fmt"
 	"testing"
 
 	"agave/internal/binder"
@@ -27,6 +28,21 @@ func setup(t *testing.T) (*kernel.Kernel, *binder.Driver, *Server, *kernel.Proce
 	return k, d, srv, client
 }
 
+// stop halts p's playback with a raw opStop transaction: no shipped client
+// stops a session, so the service side of the verb is driven from here.
+func stop(ex *kernel.Exec, d *binder.Driver, p *Player) error {
+	data := binder.NewParcel()
+	data.WriteInt32(p.id)
+	reply, err := d.Call(ex, "media.player", opStop, data)
+	if err != nil {
+		return err
+	}
+	if rc, _ := reply.ReadInt32(); rc != 0 {
+		return fmt.Errorf("media: stop failed (%d)", rc)
+	}
+	return nil
+}
+
 func TestOpenStartStopMP3(t *testing.T) {
 	k, d, srv, client := setup(t)
 	k.SpawnThread(client, "main", "main", func(ex *kernel.Exec) {
@@ -40,7 +56,7 @@ func TestOpenStartStopMP3(t *testing.T) {
 			t.Error(err)
 		}
 		ex.SleepFor(200 * sim.Millisecond)
-		if err := p.Stop(ex, d); err != nil {
+		if err := stop(ex, d, p); err != nil {
 			t.Error(err)
 		}
 	})
@@ -133,7 +149,7 @@ func TestStopUnknownSession(t *testing.T) {
 	k.SpawnThread(client, "main", "main", func(ex *kernel.Exec) {
 		ex.PushCode(client.Layout.Text)
 		p := &Player{srv: srv, id: 999}
-		if err := p.Stop(ex, d); err == nil {
+		if err := stop(ex, d, p); err == nil {
 			t.Error("Stop of unknown session succeeded")
 		}
 		ran = true

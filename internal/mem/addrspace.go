@@ -8,11 +8,11 @@ import (
 )
 
 // AddressSpace is one process's virtual memory map: a sorted, non-overlapping
-// set of VMAs plus the brk pointer for the classic heap.
+// set of VMAs.
 //
 // The address space also keeps the resident-set accounting the kernel's
-// memory-pressure model is fed by: every Map/Unmap/Brk/Discard/Commit updates
-// a per-class page count, and the OnResident hook reports the delta to the
+// memory-pressure model is fed by: every Map/Unmap/Discard/Commit updates
+// the resident page count, and the OnResident hook reports the delta to the
 // owner (the kernel's global physical-page budget). Only writable non-kernel
 // mappings count — read-only file pages are evictable cache and the kernel
 // direct map is shared physical memory, so neither pins pages. Shared
@@ -20,7 +20,6 @@ import (
 // them, a deliberate simplification.
 type AddressSpace struct {
 	vmas []*VMA // sorted by Start
-	brk  Addr   // current program break (top of the "heap" VMA)
 
 	collector *stats.Collector
 
@@ -30,11 +29,6 @@ type AddressSpace struct {
 	OnResident func(deltaPages int64)
 
 	residentPages uint64
-	classPages    [ClassRuntime + 1]uint64
-
-	// lookup cache: the last VMA hit. Valid because the simulator advances
-	// one thread at a time.
-	last *VMA
 
 	// vmaSlab is a chunked allocator for VMA structs: Map is called dozens
 	// of times per process launch, and individual VMA allocations were a
@@ -48,20 +42,9 @@ func NewAddressSpace(c *stats.Collector) *AddressSpace {
 	return &AddressSpace{collector: c}
 }
 
-// Collector exposes the stats collector used for region interning.
-func (as *AddressSpace) Collector() *stats.Collector { return as.collector }
-
 // ResidentPages reports the pressure-relevant resident set of the whole
 // address space, in pages.
 func (as *AddressSpace) ResidentPages() uint64 { return as.residentPages }
-
-// ResidentPagesByClass reports the resident pages of one region class.
-func (as *AddressSpace) ResidentPagesByClass(c Class) uint64 {
-	if int(c) >= len(as.classPages) {
-		return 0
-	}
-	return as.classPages[c]
-}
 
 // countable reports whether a mapping pins physical pages in the pressure
 // model: writable (dirty-able) and not the shared kernel image.
@@ -69,8 +52,8 @@ func countable(v *VMA) bool {
 	return v.Perms&PermWrite != 0 && v.Class != ClassKernel
 }
 
-// addResident applies a resident-byte delta to v and to the per-class and
-// whole-space page counts, reporting the page delta through OnResident.
+// addResident applies a resident-byte delta to v and to the whole-space
+// page count, reporting the page delta through OnResident.
 // deltaBytes must be page-aligned.
 func (as *AddressSpace) addResident(v *VMA, deltaBytes int64) {
 	if deltaBytes == 0 || !countable(v) {
@@ -79,21 +62,8 @@ func (as *AddressSpace) addResident(v *VMA, deltaBytes int64) {
 	pages := deltaBytes / PageSize
 	v.resident = uint64(int64(v.resident) + deltaBytes)
 	as.residentPages = uint64(int64(as.residentPages) + pages)
-	if int(v.Class) < len(as.classPages) {
-		as.classPages[v.Class] = uint64(int64(as.classPages[v.Class]) + pages)
-	}
 	if as.OnResident != nil {
 		as.OnResident(pages)
-	}
-}
-
-// invalidate drops the lookup cache when a mutation touches [start, end).
-// Every mutation of the map (Map, Unmap, Brk) funnels through this, so the
-// cache can never outlive a VMA whose range it covers: a freed-and-remapped
-// range always resolves through the authoritative sorted slice.
-func (as *AddressSpace) invalidate(start, end Addr) {
-	if as.last != nil && as.last.Start < end && start < as.last.End {
-		as.last = nil
 	}
 }
 
@@ -117,7 +87,6 @@ func (as *AddressSpace) Map(start Addr, size uint64, name string, perms Perm, cl
 	v.Class = class
 	v.Region = as.collector.Region(name)
 	as.insert(v)
-	as.invalidate(v.Start, v.End)
 	as.addResident(v, int64(size))
 	return v, nil
 }
@@ -157,7 +126,6 @@ func (as *AddressSpace) Unmap(v *VMA) error {
 	for i, w := range as.vmas {
 		if w == v {
 			as.vmas = append(as.vmas[:i], as.vmas[i+1:]...)
-			as.invalidate(v.Start, v.End)
 			as.addResident(v, -int64(v.resident))
 			return nil
 		}
@@ -196,19 +164,6 @@ func (as *AddressSpace) Commit(v *VMA, bytes uint64) uint64 {
 	return bytes
 }
 
-// Find resolves addr to its containing VMA, or nil when unmapped.
-func (as *AddressSpace) Find(addr Addr) *VMA {
-	if as.last != nil && as.last.Contains(addr) {
-		return as.last
-	}
-	i := sort.Search(len(as.vmas), func(i int) bool { return as.vmas[i].End > addr })
-	if i < len(as.vmas) && as.vmas[i].Contains(addr) {
-		as.last = as.vmas[i]
-		return as.vmas[i]
-	}
-	return nil
-}
-
 // FindByName returns the first VMA with the given name, or nil.
 func (as *AddressSpace) FindByName(name string) *VMA {
 	for _, v := range as.vmas {
@@ -219,53 +174,8 @@ func (as *AddressSpace) FindByName(name string) *VMA {
 	return nil
 }
 
-// VMAs returns the mappings in address order. The caller must not mutate the
-// slice.
-func (as *AddressSpace) VMAs() []*VMA { return as.vmas }
-
 // Count reports the number of mappings.
 func (as *AddressSpace) Count() int { return len(as.vmas) }
-
-// SetBrk initializes the program break used by Brk growth.
-func (as *AddressSpace) SetBrk(brk Addr) { as.brk = brk }
-
-// Brk grows (or shrinks) the classic heap VMA to the new break and returns
-// the resulting break. Growing fails silently (returning the old break) if it
-// would collide with the next mapping, mirroring Linux.
-func (as *AddressSpace) Brk(newBrk Addr) Addr {
-	heap := as.FindByName("heap")
-	if heap == nil || newBrk == 0 {
-		return as.brk
-	}
-	newBrk = roundUp(newBrk)
-	if newBrk <= heap.Start {
-		return as.brk
-	}
-	if i := as.overlapIndexExcept(heap.Start, newBrk, heap); i >= 0 {
-		return as.brk
-	}
-	// Growth does not touch the store: Slice grows the backing on demand the
-	// first time the new range is actually touched, which also keeps a
-	// frozen post-fork snapshot intact until a real access thaws it.
-	// Invalidate against the pre-mutation extent: a shrink takes addresses
-	// away from a possibly-cached heap hit.
-	oldEnd := heap.End
-	if newBrk < oldEnd {
-		as.invalidate(newBrk, oldEnd)
-	}
-	heap.End = newBrk
-	as.brk = newBrk
-	if newBrk >= oldEnd {
-		as.addResident(heap, int64(newBrk-oldEnd))
-	} else {
-		shrunk := oldEnd - newBrk
-		if shrunk > heap.resident {
-			shrunk = heap.resident
-		}
-		as.addResident(heap, -int64(shrunk))
-	}
-	return as.brk
-}
 
 // Clone produces the child address space of a fork. Shared and read-only
 // VMAs alias the parent's backing store (zygote's copy-on-write model: text,
@@ -276,7 +186,6 @@ func (as *AddressSpace) Brk(newBrk Addr) Addr {
 // nothing until a side actually writes them.
 func (as *AddressSpace) Clone() *AddressSpace {
 	child := NewAddressSpace(as.collector)
-	child.brk = as.brk
 	// One slab for all child VMA structs: address spaces here have dozens of
 	// mappings, and forks are frequent enough that per-VMA allocations were a
 	// measurable share of scenario allocs.
@@ -294,9 +203,6 @@ func (as *AddressSpace) Clone() *AddressSpace {
 		nv.resident = v.resident
 		if countable(nv) {
 			child.residentPages += nv.resident / PageSize
-			if int(nv.Class) < len(child.classPages) {
-				child.classPages[nv.Class] += nv.resident / PageSize
-			}
 		}
 		switch {
 		case v.Shared || v.Perms&PermWrite == 0:
@@ -333,12 +239,8 @@ func (as *AddressSpace) insert(v *VMA) {
 }
 
 func (as *AddressSpace) overlapIndex(start, end Addr) int {
-	return as.overlapIndexExcept(start, end, nil)
-}
-
-func (as *AddressSpace) overlapIndexExcept(start, end Addr, skip *VMA) int {
 	for i, v := range as.vmas {
-		if v != skip && v.Start < end && start < v.End {
+		if v.Start < end && start < v.End {
 			return i
 		}
 	}

@@ -24,7 +24,7 @@ const (
 // Classic 32-bit ARM Linux layout anchors (Gingerbread era).
 const (
 	TextBase  Addr = 0x0000_8000 // app binary text
-	HeapBase  Addr = 0x0010_0000 // brk heap start
+	HeapBase  Addr = 0x0010_0000 // classic heap start
 	MmapBase  Addr = 0x4000_0000 // shared libraries and anonymous mmaps
 	StackTop  Addr = 0xbf00_0000 // main stack grows down from here
 	KernelVA  Addr = 0xc000_0000 // kernel direct map
@@ -51,7 +51,7 @@ type Layout struct {
 }
 
 // NewLayout builds the skeleton in as. textSize and heapSize are rounded up
-// to pages; the heap can later grow via Brk.
+// to pages.
 func NewLayout(as *AddressSpace, textSize, heapSize uint64) *Layout {
 	l := &Layout{NextLib: MmapBase}
 	var err error
@@ -65,7 +65,6 @@ func NewLayout(as *AddressSpace, textSize, heapSize uint64) *Layout {
 	if l.Heap, err = as.Map(heapBase, heapSize, RegionHeap, PermRead|PermWrite, ClassHeap); err != nil {
 		panic(err)
 	}
-	as.SetBrk(l.Heap.End)
 	if l.Stack, err = as.Map(StackTop-DefaultStackSize, DefaultStackSize, RegionStack, PermRead|PermWrite, ClassStack); err != nil {
 		panic(err)
 	}

@@ -51,7 +51,7 @@ type Class uint8
 const (
 	ClassText    Class = iota // an executable image: app binary or .so text
 	ClassData                 // an image's writable data segment
-	ClassHeap                 // the classic brk heap
+	ClassHeap                 // the classic heap
 	ClassStack                // a main-thread stack
 	ClassAnon                 // anonymous mmap (includes thread stacks)
 	ClassShared               // shared between processes (ashmem, gralloc, ...)
@@ -79,7 +79,7 @@ type VMA struct {
 	// resident is the number of bytes of the mapping currently backed by
 	// physical pages, as the owning AddressSpace accounts them. Only
 	// pressure-relevant mappings (writable, non-kernel) are tracked; it is
-	// maintained by AddressSpace.Map/Unmap/Brk/Discard/Commit.
+	// maintained by AddressSpace.Map/Unmap/Discard/Commit.
 	resident uint64
 
 	store *store
@@ -93,9 +93,6 @@ func (v *VMA) ResidentBytes() uint64 { return v.resident }
 
 // Size reports the VMA length in bytes.
 func (v *VMA) Size() uint64 { return v.End - v.Start }
-
-// Contains reports whether addr falls inside the VMA.
-func (v *VMA) Contains(addr Addr) bool { return addr >= v.Start && addr < v.End }
 
 // String renders the VMA in /proc/pid/maps style.
 func (v *VMA) String() string {
@@ -131,14 +128,6 @@ func (v *VMA) Slice(off, n uint64) []byte {
 // Bytes returns a mutable view of the whole VMA.
 func (v *VMA) Bytes() []byte { return v.Slice(0, v.Size()) }
 
-// AddrOf converts a byte offset within the VMA to a virtual address.
-func (v *VMA) AddrOf(off uint64) Addr {
-	if off > v.Size() {
-		panic(fmt.Sprintf("mem: offset %d outside %s", off, v.Name))
-	}
-	return v.Start + off
-}
-
 // ensure gives v a private, writable store whose backing array covers at
 // least [0, end). It handles the two slow paths Slice kicks out to:
 //
@@ -160,9 +149,8 @@ func (v *VMA) ensure(end uint64) *store {
 	if s.frozen {
 		// Thaw: this side of the fork touches the mapping first (or again);
 		// give it a private array covering end. The array never shrinks below
-		// the snapshot's extent — a heap shrunk by Brk keeps stale bytes past
-		// the break (and hi may exceed the VMA size), and those must survive
-		// the thaw so they reappear on regrowth exactly as without a fork.
+		// the snapshot's extent, so every byte touched before the fork (up to
+		// hi) survives the thaw exactly as without a fork.
 		want := grownLen(end, v.Size())
 		if n := uint64(len(s.data)); n > want {
 			want = n

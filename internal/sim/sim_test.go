@@ -37,12 +37,39 @@ func TestTickUnits(t *testing.T) {
 	}
 }
 
+// recorder is a TimerTarget that logs its id on every firing and, while
+// again is positive, re-arms its own timer at the firing tick.
+type recorder struct {
+	q     *TimerQueue
+	t     Timer
+	id    int
+	again int
+	fired *[]int
+}
+
+func (r *recorder) TimerFired(now Ticks) {
+	*r.fired = append(*r.fired, r.id)
+	if r.again > 0 {
+		r.again--
+		r.t.When = now
+		r.q.ScheduleTimer(&r.t)
+	}
+}
+
+// arm schedules a recorder with the given id at deadline when.
+func arm(q *TimerQueue, fired *[]int, id int, when Ticks) *recorder {
+	r := &recorder{q: q, id: id, fired: fired}
+	r.t = Timer{When: when, Target: r}
+	q.ScheduleTimer(&r.t)
+	return r
+}
+
 func TestTimerQueueOrder(t *testing.T) {
 	var q TimerQueue
 	var fired []int
-	q.Schedule(30, func(Ticks) { fired = append(fired, 3) })
-	q.Schedule(10, func(Ticks) { fired = append(fired, 1) })
-	q.Schedule(20, func(Ticks) { fired = append(fired, 2) })
+	arm(&q, &fired, 3, 30)
+	arm(&q, &fired, 1, 10)
+	arm(&q, &fired, 2, 20)
 	if n := q.FireDue(25); n != 2 {
 		t.Fatalf("FireDue(25) fired %d, want 2", n)
 	}
@@ -59,8 +86,7 @@ func TestTimerQueueTieBreakIsFIFO(t *testing.T) {
 	var q TimerQueue
 	var fired []int
 	for i := 0; i < 10; i++ {
-		i := i
-		q.Schedule(5, func(Ticks) { fired = append(fired, i) })
+		arm(&q, &fired, i, 5)
 	}
 	q.FireDue(5)
 	for i, v := range fired {
@@ -70,30 +96,10 @@ func TestTimerQueueTieBreakIsFIFO(t *testing.T) {
 	}
 }
 
-func TestTimerCancel(t *testing.T) {
-	var q TimerQueue
-	fired := false
-	tm := q.Schedule(10, func(Ticks) { fired = true })
-	q.Cancel(tm)
-	q.FireDue(100)
-	if fired {
-		t.Fatal("cancelled timer fired")
-	}
-	q.Cancel(tm) // double-cancel is a no-op
-	q.Cancel(nil)
-}
-
 func TestTimerRescheduleDuringFire(t *testing.T) {
 	var q TimerQueue
-	count := 0
-	var fire func(Ticks)
-	fire = func(now Ticks) {
-		count++
-		if count < 3 {
-			q.Schedule(now, fire) // already due: fires in the same call
-		}
-	}
-	q.Schedule(1, fire)
+	var fired []int
+	arm(&q, &fired, 0, 1).again = 2 // already due when re-armed: fires in the same call
 	if n := q.FireDue(1); n != 3 {
 		t.Fatalf("FireDue fired %d, want 3 (chained)", n)
 	}
@@ -104,7 +110,8 @@ func TestNextDeadline(t *testing.T) {
 	if _, ok := q.NextDeadline(); ok {
 		t.Fatal("empty queue reported a deadline")
 	}
-	q.Schedule(42, func(Ticks) {})
+	var fired []int
+	arm(&q, &fired, 0, 42)
 	if when, ok := q.NextDeadline(); !ok || when != 42 {
 		t.Fatalf("NextDeadline = %d,%v want 42,true", when, ok)
 	}

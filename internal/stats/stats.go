@@ -180,42 +180,32 @@ func (c *Collector) Total(kinds ...Kind) uint64 {
 	return sum
 }
 
-// fold sums the counts of the given classes in the cells keep admits, keyed
-// by the name key gives each cell.
-func (c *Collector) fold(kinds []Kind, keep func(ckey) bool, key func(ckey) string) map[string]uint64 {
+// fold sums the counts of the given classes, keyed by the name key gives
+// each cell.
+func (c *Collector) fold(kinds []Kind, key func(ckey) string) map[string]uint64 {
 	sel := selectKinds(kinds)
 	out := make(map[string]uint64)
 	for k, v := range c.counts {
-		if sel[k.kind] && keep(k) {
+		if sel[k.kind] {
 			out[key(k)] += v
 		}
 	}
 	return out
 }
 
-func anyCell(ckey) bool { return true }
-
 // ByRegion folds counts of the given classes by region name.
 func (c *Collector) ByRegion(kinds ...Kind) map[string]uint64 {
-	return c.fold(kinds, anyCell, func(k ckey) string { return c.RegionName(k.region) })
+	return c.fold(kinds, func(k ckey) string { return c.RegionName(k.region) })
 }
 
 // ByProcess folds counts of the given classes by process name.
 func (c *Collector) ByProcess(kinds ...Kind) map[string]uint64 {
-	return c.fold(kinds, anyCell, func(k ckey) string { return c.ProcName(k.proc) })
-}
-
-// ByRegionForProcess folds counts of the given classes by region name,
-// restricted to the named process.
-func (c *Collector) ByRegionForProcess(proc string, kinds ...Kind) map[string]uint64 {
-	pid, ok := c.procs.ids[proc]
-	return c.fold(kinds, func(k ckey) bool { return ok && k.proc == ProcID(pid) },
-		func(k ckey) string { return c.RegionName(k.region) })
+	return c.fold(kinds, func(k ckey) string { return c.ProcName(k.proc) })
 }
 
 // ByThread folds counts of the given classes by thread group name.
 func (c *Collector) ByThread(kinds ...Kind) map[string]uint64 {
-	return c.fold(kinds, anyCell, func(k ckey) string { return c.ThreadName(k.thread) })
+	return c.fold(kinds, func(k ckey) string { return c.ThreadName(k.thread) })
 }
 
 // RegionCount reports how many distinct regions received at least one access
@@ -234,17 +224,6 @@ func (c *Collector) RegionCount(kinds ...Kind) int {
 		}
 	}
 	return n
-}
-
-// ProcessCount reports how many distinct processes issued at least one access.
-func (c *Collector) ProcessCount() int {
-	seen := make(map[ProcID]bool)
-	for k, v := range c.counts {
-		if v > 0 {
-			seen[k.proc] = true
-		}
-	}
-	return len(seen)
 }
 
 // Cells reports the number of distinct counter cells currently held — the

@@ -85,8 +85,8 @@ func TestRegionAndProcessCounts(t *testing.T) {
 	if got := c.RegionCount(); got != 3 {
 		t.Fatalf("RegionCount() = %d, want 3", got)
 	}
-	if got := c.ProcessCount(); got != 1 {
-		t.Fatalf("ProcessCount = %d, want 1", got)
+	if got := len(c.ByProcess()); got != 1 {
+		t.Fatalf("processes = %d, want 1", got)
 	}
 }
 

@@ -66,8 +66,8 @@ type Plan struct {
 	Scenarios []string
 	// ScenarioSet holds ad-hoc scenario definitions — loaded from files or
 	// produced by the generator — that run as plan cells exactly like the
-	// named bundled ones: crossed with every seed and ablation, under the
-	// same ordered-collection determinism guarantee.
+	// named bundled ones: crossed with every seed and ablation, and
+	// reported in plan order whatever the worker count.
 	ScenarioSet []*scenario.Scenario
 	Seeds       []uint64
 	Ablations   []Ablation
@@ -224,6 +224,8 @@ type RunError struct {
 func (e *RunError) Error() string { return fmt.Sprintf("%s: %v", e.Spec, e.Err) }
 
 // Unwrap exposes the underlying run error.
+//
+//agave:allow unusedfunc errors.Is and errors.As reach it through an anonymous interface
 func (e *RunError) Unwrap() error { return e.Err }
 
 // Each calls fn(i) for every i in [0, n) on a bounded pool of workers

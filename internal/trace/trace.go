@@ -8,7 +8,6 @@ package trace
 
 import (
 	"fmt"
-	"io"
 
 	"agave/internal/sim"
 	"agave/internal/stats"
@@ -98,20 +97,6 @@ func (g *Ring) Filter(pred func(Record) bool) []Record {
 		}
 	}
 	return out
-}
-
-// WriteCSV renders the retained records as CSV.
-func (g *Ring) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "when,proc,thread,region,kind,n"); err != nil {
-		return err
-	}
-	for _, r := range g.Records() {
-		if _, err := fmt.Fprintf(w, "%d,%s,%s,%s,%s,%d\n",
-			r.When, r.Proc, r.Thread, r.Region, r.Kind, r.N); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Totals folds the retained records back into (region → count) — useful for

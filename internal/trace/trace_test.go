@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -59,22 +58,6 @@ func TestFilterAndTotals(t *testing.T) {
 	tot := g.Totals()
 	if tot["dalvik-heap"] != 5 || tot["fb0"] != 7 {
 		t.Fatalf("totals = %v", tot)
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	g := NewRing(4, 1)
-	g.Emit(9, "p", "t", "mspace", stats.IFetch, 3)
-	var buf bytes.Buffer
-	if err := g.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.HasPrefix(out, "when,proc,thread,region,kind,n\n") {
-		t.Fatalf("csv header wrong: %q", out)
-	}
-	if !strings.Contains(out, "9,p,t,mspace,ifetch,3") {
-		t.Fatalf("csv row missing: %q", out)
 	}
 }
 
