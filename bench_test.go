@@ -250,13 +250,14 @@ func BenchmarkScenarioFromFile(b *testing.B) {
 // drift.
 func BenchmarkScenarioGenerated(b *testing.B) {
 	sc := scenario.Generate(scenario.GenConfig{Seed: 1, Apps: 10})
+	cfg := benchConfig()
 	var ticks float64
 	for i := 0; i < b.N; i++ {
-		r, err := core.RunScenarioDef(sc, benchConfig())
+		r, err := core.RunScenarioDef(sc, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ticks += float64(r.Duration)
+		ticks += float64(cfg.Duration)
 		b.ReportMetric(float64(r.Session.MaxLive), "max_live")
 		b.ReportMetric(float64(r.Processes), "processes")
 		b.ReportMetric(float64(r.Stats.Total()), "total_refs")
@@ -279,13 +280,14 @@ func BenchmarkScenarioDense(b *testing.B) {
 		Pressure: 2,
 		Inputs:   200,
 	})
+	cfg := benchConfig()
 	var ticks float64
 	for i := 0; i < b.N; i++ {
-		r, err := core.RunScenarioDef(sc, benchConfig())
+		r, err := core.RunScenarioDef(sc, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ticks += float64(r.Duration)
+		ticks += float64(cfg.Duration)
 		b.ReportMetric(float64(r.Session.MaxLive), "max_live")
 		b.ReportMetric(float64(r.Session.InputEvents), "input_events")
 		b.ReportMetric(float64(r.Processes), "processes")

@@ -15,6 +15,10 @@
 // lowmemorykiller evicts processes by oom_adj score — cached apps first, the
 // foreground app never. Kill timing there is a consequence of load, not an
 // input.
+//
+// Each session runs through core.RunScenarioDef, the measured-run path the
+// agave scenario subcommand uses: boot, warm up, reset the counters, then
+// script the timeline across the measured interval.
 package main
 
 import (
@@ -22,6 +26,7 @@ import (
 	"fmt"
 	"log"
 
+	"agave/internal/core"
 	"agave/internal/scenario"
 	"agave/internal/sim"
 	"agave/internal/stats"
@@ -34,6 +39,11 @@ func main() {
 		log.Fatalf("-duration must be a positive number of milliseconds (got %d)", *durationMS)
 	}
 
+	// The paper-artifact configuration (seed 1, 300 ms warmup, 1 ms
+	// quanta) at the requested measured length.
+	cfg := core.DefaultConfig()
+	cfg.Duration = sim.Ticks(*durationMS) * sim.Millisecond
+
 	for _, name := range []string{"commute", "memory-storm", "cached-app-eviction"} {
 		sc, err := scenario.ByName(name)
 		if err != nil {
@@ -45,21 +55,17 @@ func main() {
 			fmt.Printf("  %s\n", ev)
 		}
 
-		res, err := scenario.Run(sc, scenario.Config{
-			Seed:     1,
-			Duration: sim.Ticks(*durationMS) * sim.Millisecond,
-			Warmup:   300 * sim.Millisecond,
-			Quantum:  sim.Millisecond,
-		})
+		res, err := core.RunScenarioDef(sc, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
+		session := res.Session
 
 		fmt.Printf("\n%d events over %d ms: %d memory references, %d processes (%d live at end), %d threads\n",
-			res.Events, *durationMS, res.Stats.Total(), res.Processes, res.LiveProcesses, res.Threads)
-		if res.LMKKills > 0 || res.Trims > 0 {
+			session.Events, *durationMS, res.Stats.Total(), res.Processes, res.LiveProcesses, res.Threads)
+		if session.LMKKills > 0 || session.Trims > 0 {
 			fmt.Printf("memory pressure: %d onTrimMemory callbacks, %d lowmemorykiller kills %v\n",
-				res.Trims, res.LMKKills, res.LMKVictims)
+				session.Trims, session.LMKKills, session.LMKVictims)
 		}
 		fmt.Println("\nper-process attribution (top of the fold):")
 		for _, row := range stats.NewBreakdown(res.Stats.ByProcess()).TopN(8) {

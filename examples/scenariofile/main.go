@@ -8,8 +8,8 @@
 //     radio, with taps and swipes delivered through the InputDispatcher to
 //     whichever app holds the focus (the stale ones drop and are counted),
 //     and a late pressure wave that squeezes the cached dictionary.
-//  2. Run it exactly as a bundled scenario runs, and show the per-process
-//     attribution and pressure outcome.
+//  2. Run it through core.RunScenarioDef exactly as a bundled scenario
+//     runs, and show the per-process attribution and pressure outcome.
 //  3. Generate a session procedurally from a (seed, apps, events, pressure)
 //     tuple, run it at 10 concurrently-live apps, and re-encode it to
 //     canonical JSON — the document you would commit once a generated
@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"log"
 
+	"agave/internal/core"
 	"agave/internal/scenario"
 	"agave/internal/sim"
 	"agave/internal/stats"
@@ -36,12 +37,8 @@ func main() {
 	if *durationMS <= 0 {
 		log.Fatalf("-duration must be a positive number of milliseconds (got %d)", *durationMS)
 	}
-	cfg := scenario.Config{
-		Seed:     1,
-		Duration: sim.Ticks(*durationMS) * sim.Millisecond,
-		Warmup:   300 * sim.Millisecond,
-		Quantum:  sim.Millisecond,
-	}
+	cfg := core.DefaultConfig()
+	cfg.Duration = sim.Ticks(*durationMS) * sim.Millisecond
 
 	// 1. A hand-authored scenario document, decoded by the strict codec.
 	authored, err := scenario.Decode(nightShift)
@@ -55,12 +52,13 @@ func main() {
 
 	// 2. Run it like any bundled session.
 	run := func(sc *scenario.Scenario) {
-		res, err := scenario.Run(sc, cfg)
+		r, err := core.RunScenarioDef(sc, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
+		res := r.Session
 		fmt.Printf("\n%d events over %d ms: %d references, %d processes (%d live at end), peak %d live apps\n",
-			res.Events, *durationMS, res.Stats.Total(), res.Processes, res.LiveProcesses, res.MaxLive)
+			res.Events, *durationMS, r.Stats.Total(), r.Processes, r.LiveProcesses, res.MaxLive)
 		if res.LMKKills > 0 || res.Trims > 0 {
 			fmt.Printf("memory pressure: %d trims, %d lowmemorykiller kills %v\n",
 				res.Trims, res.LMKKills, res.LMKVictims)
@@ -81,7 +79,7 @@ func main() {
 			}
 		}
 		fmt.Println("per-process attribution (top of the fold):")
-		for _, row := range stats.NewBreakdown(res.Stats.ByProcess()).TopN(6) {
+		for _, row := range stats.NewBreakdown(r.Stats.ByProcess()).TopN(6) {
 			fmt.Printf("  %-22s %6.2f%%\n", row.Name, row.Share*100)
 		}
 	}

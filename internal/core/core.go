@@ -26,8 +26,10 @@ import (
 
 // Config controls a benchmark run.
 type Config struct {
-	// Seed drives every stochastic decision; equal seeds give
-	// bit-identical results.
+	// Seed labels the run: plans sweep it as an axis and reports carry
+	// it, and it reaches the kernel's configuration. No simulated decision
+	// reads it yet — the stack is fully deterministic — so runs that differ
+	// only in Seed produce identical counters.
 	Seed uint64
 	// Duration is the measured simulated interval (after warmup).
 	Duration sim.Ticks
@@ -83,7 +85,6 @@ type Result struct {
 	CodeRegions int
 	DataRegions int
 
-	Duration sim.Ticks
 	Checksum uint64 // SPEC only: the kernel's fold-proof accumulator
 
 	// Session carries the session-level result when the run was a
@@ -114,41 +115,35 @@ func IsSPEC(name string) bool {
 	return false
 }
 
-// Run executes one benchmark by name.
+// Run executes one benchmark by name. A SPEC baseline runs on the bare
+// kernel; an Agave workload runs on the booted Android stack, which is
+// launched, warmed up, and then measured for cfg.Duration of steady-state
+// execution.
 func Run(name string, cfg Config) (*Result, error) {
 	if IsSPEC(name) {
-		return RunSPEC(name, cfg)
+		return runSPEC(name, cfg)
 	}
-	return RunAgave(name, cfg)
-}
-
-// RunAgave boots the full Android stack, launches the workload, lets the
-// system warm up, then measures cfg.Duration of steady-state execution.
-func RunAgave(name string, cfg Config) (*Result, error) {
 	w, err := apps.ByName(name)
 	if err != nil {
 		return nil, err
 	}
-	k := kernel.New(kernel.Config{Quantum: cfg.Quantum, Seed: cfg.Seed})
+	sys := boot(kernel.Config{Quantum: cfg.Quantum, Seed: cfg.Seed}, cfg)
+	k := sys.K
 	defer k.Shutdown()
-	sys := android.Boot(k)
-	sys.Compositor.DirtyRectOnly = cfg.DirtyRectComposition
 	app := apps.Launch(sys, w)
 	if cfg.DisableJIT {
 		app.VM.JITEnabled = false
 	}
 	// Warmup: boot, app launch, first frames.
-	k.Run(cfg.Warmup)
-	// Measure: reset counters, run the steady state.
-	k.Stats.Reset()
+	warmUp(k, cfg)
 	k.Run(cfg.Warmup + cfg.Duration)
-	return collect(name, false, k, cfg, 0), nil
+	return collect(name, k), nil
 }
 
-// RunSPEC runs one SPEC baseline on the bare kernel (no Android stack), as
+// runSPEC runs one SPEC baseline on the bare kernel (no Android stack), as
 // the paper's comparison points do. The input-read phase is part of the
 // profile — it is what makes ata_sff/0 visible in the SPEC bars.
-func RunSPEC(name string, cfg Config) (*Result, error) {
+func runSPEC(name string, cfg Config) (*Result, error) {
 	b, err := spec.ByName(name)
 	if err != nil {
 		return nil, err
@@ -157,14 +152,14 @@ func RunSPEC(name string, cfg Config) (*Result, error) {
 	defer k.Shutdown()
 	env := spec.Launch(k, b)
 	k.Run(cfg.Duration)
-	return collect(name, true, k, cfg, env.Checksum), nil
+	r := collect(name, k)
+	r.IsSPEC = true
+	r.Checksum = env.Checksum
+	return r, nil
 }
 
-// RunScenario executes one bundled multi-app scenario by name: the scripted
-// session engine boots the stack, warms it up, then drives the scenario's
-// lifecycle timeline across cfg.Duration while attributing every reference
-// per process, exactly as single-app runs do. The result's Benchmark field
-// carries the scenario name.
+// RunScenario executes one bundled multi-app scenario by name; see
+// RunScenarioDef. The result's Benchmark field carries the scenario name.
 func RunScenario(name string, cfg Config) (*Result, error) {
 	sc, err := scenario.ByName(name)
 	if err != nil {
@@ -175,47 +170,66 @@ func RunScenario(name string, cfg Config) (*Result, error) {
 
 // RunScenarioDef executes a scenario definition directly — the entry point
 // for sessions that are not in the bundled registry: documents decoded from
-// scenario files and generator output. The definition is validated by the
-// engine before anything boots, so an ill-formed ad-hoc scenario fails
-// cleanly.
+// scenario files and generator output. The definition is validated before
+// anything boots, so an ill-formed ad-hoc scenario fails cleanly. The
+// session is measured like a single-app run — boot, warm up, reset the
+// counters, measure — with the timeline scripted across the measured
+// interval, and every reference attributed per process.
 func RunScenarioDef(sc *scenario.Scenario, cfg Config) (*Result, error) {
-	r, err := scenario.Run(sc, scenario.Config{
-		Seed:                 cfg.Seed,
-		Duration:             cfg.Duration,
-		Warmup:               cfg.Warmup,
-		Quantum:              cfg.Quantum,
-		DisableJIT:           cfg.DisableJIT,
-		DirtyRectComposition: cfg.DirtyRectComposition,
-		MinFreePages:         cfg.MinFreePages,
-	})
-	if err != nil {
+	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	return &Result{
-		Benchmark:     r.Scenario,
-		Stats:         r.Stats,
-		Processes:     r.Processes,
-		Threads:       r.Threads,
-		LiveProcesses: r.LiveProcesses,
-		CodeRegions:   r.CodeRegions,
-		DataRegions:   r.DataRegions,
-		Duration:      r.Duration,
-		Session:       r,
-	}, nil
+	if cfg.Duration <= 0 {
+		return nil, fmt.Errorf("scenario %s: non-positive duration", sc.Name)
+	}
+	// Scenario machines always run the memory-pressure model on the 1 GB
+	// device: backgrounded apps can die because the system is out of
+	// memory, not only because the timeline says so.
+	sys := boot(kernel.Config{
+		Quantum:  cfg.Quantum,
+		Seed:     cfg.Seed,
+		MemPages: kernel.DefaultMemPages,
+		MinFree:  kernel.DefaultMinFree(cfg.MinFreePages),
+	}, cfg)
+	k := sys.K
+	defer k.Shutdown()
+	// Warmup covers the system boot transient only: no scenario app exists
+	// yet, because launches are part of the measured session.
+	warmUp(k, cfg)
+	s := scenario.Start(sys, sc, cfg.Duration, cfg.DisableJIT)
+	k.Run(cfg.Warmup + cfg.Duration)
+	session := s.Finish()
+	r := collect(sc.Name, k)
+	r.Session = session
+	return r, nil
 }
 
-func collect(name string, isSpec bool, k *kernel.Kernel, cfg Config, checksum uint64) *Result {
+// boot creates a kernel from kc and boots the Android stack on it, with
+// cfg's composition mode. The caller shuts the kernel down.
+func boot(kc kernel.Config, cfg Config) *android.System {
+	sys := android.Boot(kernel.New(kc))
+	sys.Compositor.DirtyRectOnly = cfg.DirtyRectComposition
+	return sys
+}
+
+// warmUp runs a booted machine through cfg.Warmup and zeroes its counters,
+// so the boot transient stays out of the measurement.
+func warmUp(k *kernel.Kernel, cfg Config) {
+	k.Run(cfg.Warmup)
+	k.Stats.Reset()
+}
+
+// collect takes the census of a finished run; every run kind builds its
+// Result here.
+func collect(name string, k *kernel.Kernel) *Result {
 	return &Result{
 		Benchmark:     name,
-		IsSPEC:        isSpec,
 		Stats:         k.Stats,
 		Processes:     k.ProcessCount(),
 		Threads:       k.ThreadCount(),
 		LiveProcesses: k.LiveProcessCount(),
 		CodeRegions:   k.Stats.RegionCount(stats.IFetch),
 		DataRegions:   k.Stats.RegionCount(stats.DataKinds...),
-		Duration:      cfg.Duration,
-		Checksum:      checksum,
 	}
 }
 

@@ -230,3 +230,55 @@ func TestShapeDexoptOnlyInPM(t *testing.T) {
 		t.Fatal("countdown.main: dexopt active outside install workloads")
 	}
 }
+
+// TestCensusConservation holds every run kind's Result to the census
+// identities: each reference is attributed to exactly one process, one
+// region and one thread group, so each fold sums to the total, and the
+// region counts and process census agree with the counter matrix they
+// were taken from.
+func TestCensusConservation(t *testing.T) {
+	sum := func(m map[string]uint64) uint64 {
+		var n uint64
+		for _, v := range m {
+			n += v
+		}
+		return n
+	}
+	for _, tc := range []struct {
+		kind string
+		run  func() (*Result, error)
+	}{
+		{"agave", func() (*Result, error) { return Run("countdown.main", quickCfg()) }},
+		{"spec", func() (*Result, error) { return Run("401.bzip2", quickCfg()) }},
+		{"scenario", func() (*Result, error) { return RunScenario("memory-storm", quickCfg()) }},
+	} {
+		t.Run(tc.kind, func(t *testing.T) {
+			r, err := tc.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			total := r.Stats.Total()
+			if total == 0 {
+				t.Fatal("no references collected")
+			}
+			for name, fold := range map[string]map[string]uint64{
+				"process": r.Stats.ByProcess(),
+				"region":  r.Stats.ByRegion(),
+				"thread":  r.Stats.ByThread(),
+			} {
+				if got := sum(fold); got != total {
+					t.Errorf("sum by %s = %d, total = %d", name, got, total)
+				}
+			}
+			if want := r.Stats.RegionCount(stats.IFetch); r.CodeRegions != want {
+				t.Errorf("CodeRegions = %d, RegionCount(IFetch) = %d", r.CodeRegions, want)
+			}
+			if want := r.Stats.RegionCount(stats.DataKinds...); r.DataRegions != want {
+				t.Errorf("DataRegions = %d, RegionCount(data) = %d", r.DataRegions, want)
+			}
+			if r.LiveProcesses > r.Processes {
+				t.Errorf("LiveProcesses %d > Processes %d", r.LiveProcesses, r.Processes)
+			}
+		})
+	}
+}

@@ -17,17 +17,6 @@ import (
 	"agave/internal/sim"
 )
 
-// Model describes the CPU configuration. The reproduction always uses the
-// atomic model; the struct exists so benches and docs can name it.
-type Model struct {
-	Name       string
-	ClockHz    uint64
-	InstPerTik uint64
-}
-
-// Atomic is the paper's configuration: 1 GHz atomic CPU, no caches.
-var Atomic = Model{Name: "atomic", ClockHz: 1e9, InstPerTik: 1}
-
 // Reason says why a thread yielded back to the scheduler.
 type Reason uint8
 

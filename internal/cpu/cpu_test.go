@@ -197,12 +197,6 @@ func TestDeterministicInterleaving(t *testing.T) {
 	}
 }
 
-func TestAtomicModelConstants(t *testing.T) {
-	if Atomic.InstPerTik != 1 || Atomic.ClockHz != 1e9 {
-		t.Fatalf("atomic model misconfigured: %+v", Atomic)
-	}
-}
-
 func TestReasonString(t *testing.T) {
 	for r, want := range map[Reason]string{
 		YieldQuantum: "quantum", YieldBlocked: "blocked",

@@ -144,9 +144,6 @@ func TestGCRunsUnderAllocationPressure(t *testing.T) {
 			vm.Exec(ex, d, "objectChurn", 1000)
 		}
 		ex.SleepFor(10 * sim.Millisecond)
-		if vm.gcRuns == 0 {
-			t.Error("no GC cycles despite churn")
-		}
 	})
 	if got := k.Stats.ByThread()["GC"]; got == 0 {
 		t.Fatal("GC thread earned no references")
@@ -202,12 +199,10 @@ func TestVMServiceThreadsExist(t *testing.T) {
 
 func TestHeapWrapModelsFullGC(t *testing.T) {
 	harness(t, false, func(ex *kernel.Exec, vm *VM, d *LoadedDex) {
-		before := vm.gcRuns
 		// Allocate more than the whole heap in chunks.
 		for i := 0; i < 30; i++ {
 			vm.AllocArray(ex, (HeapSize/4)/30*8)
 		}
-		_ = before
 		if vm.heapTop > HeapSize {
 			t.Error("heap top ran past the arena")
 		}

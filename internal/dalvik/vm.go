@@ -117,7 +117,6 @@ type VM struct {
 	heapTop      uint64
 	heapCommit   uint64 // bytes of HeapVMA currently resident (>= heapTop)
 	allocSinceGC uint64
-	gcRuns       uint64
 
 	gcQueue      *kernel.MsgQueue
 	compileQueue *kernel.MsgQueue
@@ -354,7 +353,6 @@ func (vm *VM) alloc(ex *kernel.Exec, n uint64) uint64 {
 	n = (n + 7) &^ 7
 	if vm.heapTop+n > vm.HeapVMA.Size() {
 		vm.heapTop = 16
-		vm.gcRuns++
 	}
 	off := vm.heapTop
 	vm.heapTop += n
@@ -456,7 +454,6 @@ func (vm *VM) gcLoop(ex *kernel.Exec) {
 		ex.Do(kernel.Work{Fetch: 1, Writes: 1, Data: vm.HeapVMA}, used/64)
 		// Sweep: reclaim dead ranges.
 		ex.Do(kernel.Work{Fetch: 2, Writes: 1, Data: vm.HeapVMA}, used*4/10/32)
-		vm.gcRuns++
 		if vm.heapWorkerWq != nil {
 			vm.heapWorkerWq.WakeOne()
 		}

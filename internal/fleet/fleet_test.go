@@ -68,7 +68,7 @@ func testPlan(t testing.TB) WirePlan {
 	return wp
 }
 
-func testSpec(t *testing.T, shardSize int) *Spec {
+func testSpec(t testing.TB, shardSize int) *Spec {
 	t.Helper()
 	return &Spec{
 		Config:    json.RawMessage(`{"synthetic":true}`),

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -167,6 +168,86 @@ func FuzzOpenCheckpoint(f *testing.F) {
 		a := NewAggregator(total, shardSize, want.PlanHash)
 		for _, p := range partials {
 			a.Restore(p) // errors are fine; panics are not
+		}
+	})
+}
+
+// FuzzRunWorker fuzzes the worker's stdin: the shard envelope a fleet
+// worker subprocess decodes, verifies against its plan hash, and executes.
+// The run function is the synthetic engine, so an exec costs microseconds.
+// The corpus is seeded with a valid envelope for every shard of the test
+// plan, plus trailing garbage, unknown fields, out-of-range shards, a
+// wrong hash, and non-envelope bytes. The invariants:
+//
+//  1. RunWorker never panics, whatever the bytes.
+//  2. An accepted envelope emits exactly hi-lo result lines — the specs of
+//     its shard, in plan order — then a trailer whose shard, line count and
+//     digest match those lines.
+func FuzzRunWorker(f *testing.F) {
+	const shardSize = 5
+	spec := testSpec(f, shardSize)
+	hash, err := spec.Hash()
+	if err != nil {
+		f.Fatal(err)
+	}
+	plan, err := spec.Plan.SuitePlan()
+	if err != nil {
+		f.Fatal(err)
+	}
+	for shard := -1; shard <= suite.NumShards(plan.Size(), shardSize); shard++ {
+		env, err := json.Marshal(Envelope{PlanHash: hash, Shard: shard, Spec: *spec})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(env)
+		if shard == 1 {
+			f.Add(append(env[:len(env):len(env)], "\n{} trailing"...))
+			f.Add(bytes.Replace(env, []byte(`{"plan_hash"`), []byte(`{"extra":[1,2],"plan_hash"`), 1))
+			f.Add(bytes.Replace(env, []byte(hash), []byte("deadbeef"), 1))
+			f.Add(env[:len(env)/2])
+		}
+	}
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(``))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var out bytes.Buffer
+		if err := RunWorker(bytes.NewReader(data), &out, syntheticRun); err != nil {
+			return // rejected envelope: the only requirement is no panic
+		}
+		var env Envelope
+		if err := json.NewDecoder(bytes.NewReader(data)).Decode(&env); err != nil {
+			t.Fatalf("accepted envelope does not decode: %v\ninput: %q", err, data)
+		}
+		plan, err := env.Spec.Plan.SuitePlan()
+		if err != nil {
+			t.Fatalf("accepted envelope carries no plan: %v\ninput: %q", err, data)
+		}
+		lo, hi := suite.ShardRange(plan.Size(), env.Spec.ShardSize, env.Shard)
+		lines := bytes.Split(bytes.TrimSuffix(out.Bytes(), []byte("\n")), []byte("\n"))
+		if len(lines) != hi-lo+1 {
+			t.Fatalf("shard %d [%d,%d) wrote %d lines, want %d plus a trailer\ninput: %q",
+				env.Shard, lo, hi, len(lines), hi-lo, data)
+		}
+		var digest Digest
+		for i, raw := range lines[:hi-lo] {
+			var l Line
+			if err := DecodeLine(raw, &l); err != nil {
+				t.Fatalf("line %d does not decode: %v", i, err)
+			}
+			if l.Index != lo+i {
+				t.Fatalf("line %d has index %d, want %d", i, l.Index, lo+i)
+			}
+			digest.AddLine(raw)
+		}
+		var trailer Trailer
+		if err := json.Unmarshal(lines[hi-lo], &trailer); err != nil {
+			t.Fatalf("trailer does not decode: %v", err)
+		}
+		want := Trailer{Done: true, Shard: env.Shard, Lines: hi - lo, Digest: digest.Hex()}
+		if trailer != want {
+			t.Fatalf("trailer = %+v, want %+v", trailer, want)
 		}
 	})
 }

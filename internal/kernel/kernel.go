@@ -12,7 +12,9 @@ import (
 type Config struct {
 	// Quantum is the scheduler time slice.
 	Quantum sim.Ticks
-	// Seed drives every stochastic decision in the simulation.
+	// Seed records the run's seed. No kernel decision reads it: the
+	// machine is deterministic, so configurations that differ only in
+	// Seed run identically.
 	Seed uint64
 	// IdleRefDivisor controls how many kernel references the swapper idle
 	// loop generates: one instruction fetch per IdleRefDivisor idle ticks.
@@ -47,7 +49,6 @@ type Kernel struct {
 
 	Timers sim.TimerQueue
 
-	rng     *sim.RNG
 	nextPID int
 	nextTID int
 	procs   []*Process
@@ -89,8 +90,6 @@ type Kernel struct {
 	usedPages    uint64
 	balloonPages uint64
 	lmk          lmkState
-
-	stopping bool
 }
 
 // New boots an empty machine: swapper and the ata_sff/0 storage thread
@@ -105,7 +104,6 @@ func New(cfg Config) *Kernel {
 	k := &Kernel{
 		Stats:   stats.NewCollector(),
 		Cfg:     cfg,
-		rng:     sim.NewRNG(cfg.Seed),
 		nextPID: 0,
 		nextTID: 0,
 	}
@@ -213,7 +211,6 @@ func (k *Kernel) Wake(t *Thread) {
 	if t.State != StateBlocked && t.State != StateSleeping {
 		return
 	}
-	t.waitingOn = nil
 	k.enqueue(t)
 }
 
@@ -245,7 +242,6 @@ func (k *Kernel) Run(deadline sim.Ticks) {
 			t.State = StateBlocked
 		case cpu.YieldSleep:
 			t.State = StateSleeping
-			t.wakeAt = y.WakeAt
 			// A thread has at most one pending sleep (it runs again only
 			// after the wakeup fires), so its dedicated timer is free here.
 			t.sleepTimer.When = y.WakeAt
@@ -282,7 +278,6 @@ func (k *Kernel) idle(deadline sim.Ticks) {
 // not be Run again afterwards. Tests and benchmarks call this to avoid
 // leaking goroutines between runs.
 func (k *Kernel) Shutdown() {
-	k.stopping = true
 	for _, t := range k.threads {
 		if t.ctx != nil {
 			t.ctx.Kill()

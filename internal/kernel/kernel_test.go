@@ -277,12 +277,13 @@ func TestDeterministicWholeRun(t *testing.T) {
 		k := newTestKernel()
 		defer k.Shutdown()
 		p := k.NewProcess("benchmark", 1<<20, 1<<20)
+		rng := sim.NewRNG(1)
 		for i := 0; i < 3; i++ {
 			k.SpawnThread(p, "worker", "worker", func(ex *Exec) {
 				ex.PushCode(p.Layout.Text)
 				for j := 0; j < 50; j++ {
-					ex.Fetch(uint64(100 + ex.P.RNG.Intn(100)))
-					ex.SleepFor(sim.Ticks(ex.P.RNG.Range(10, 100)) * sim.Microsecond)
+					ex.Fetch(uint64(100 + rng.Intn(100)))
+					ex.SleepFor(sim.Ticks(rng.Range(10, 100)) * sim.Microsecond)
 				}
 			})
 		}

@@ -38,9 +38,6 @@ type Process struct {
 	// StatID is the interned stats process ID for Name.
 	StatID stats.ProcID
 
-	// RNG is the process-private deterministic random source.
-	RNG *sim.RNG
-
 	// OomAdj is the lowmemorykiller badness score the ActivityManager
 	// model assigns (higher = killed sooner). Processes start at
 	// OomNeverKill: only the framework volunteers its apps.
@@ -48,8 +45,7 @@ type Process struct {
 
 	Threads []*Thread
 
-	kern    *Kernel
-	nextTID int
+	kern *Kernel
 	// memReleased marks a dead process whose resident pages have been
 	// returned to the machine-wide budget.
 	memReleased bool
@@ -95,10 +91,7 @@ type Thread struct {
 	// body is the thread function; kept as a field so Start can launch the
 	// package-level trampoline threadMain with the thread itself as argument
 	// instead of allocating a capturing closure per spawn.
-	body   func(ex *Exec)
-	wakeAt sim.Ticks
-	// waitingOn is the queue the thread is blocked on, for diagnostics.
-	waitingOn *WaitQueue
+	body func(ex *Exec)
 
 	// sleepTimer is the thread's dedicated wakeup timer. A thread has at
 	// most one sleep pending (it only runs again once the wakeup fires), so
@@ -128,7 +121,6 @@ func (k *Kernel) newBareProcess(name string) *Process {
 		Name:   name,
 		AS:     mem.NewAddressSpace(k.Stats),
 		StatID: k.Stats.Proc(name),
-		RNG:    k.rng.Fork(),
 		OomAdj: OomNeverKill,
 		kern:   k,
 	}
@@ -160,7 +152,6 @@ func (k *Kernel) Fork(parent *Process, name string) *Process {
 		Name:   name,
 		AS:     parent.AS.Clone(),
 		StatID: k.Stats.Proc(name),
-		RNG:    k.rng.Fork(),
 		OomAdj: OomNeverKill,
 		kern:   k,
 		Parent: parent,
@@ -248,7 +239,6 @@ func (k *Kernel) SpawnThread(p *Process, name, group string, body func(ex *Exec)
 	}
 	t.sleepTimer.Target = t
 	k.nextTID++
-	p.nextTID++
 	if len(p.Threads) == 0 && p.Layout != nil && p.Layout.Stack != nil {
 		t.Stack = p.Layout.Stack
 	} else if p.Layout != nil {

@@ -73,7 +73,6 @@ func (wq *WaitQueue) pop() (*Thread, bool) {
 func (ex *Exec) Wait(wq *WaitQueue) {
 	ex.Syscall(180, 30)
 	wq.push(ex.T)
-	ex.T.waitingOn = wq
 	ex.ctx.Block()
 }
 
@@ -81,7 +80,6 @@ func (ex *Exec) Wait(wq *WaitQueue) {
 // accounted the kernel entry themselves).
 func (ex *Exec) WaitFree(wq *WaitQueue) {
 	wq.push(ex.T)
-	ex.T.waitingOn = wq
 	ex.ctx.Block()
 }
 

@@ -63,7 +63,7 @@ func TestLoadOneIdempotent(t *testing.T) {
 	a := lm.LoadOne(as, layout, "libc.so")
 	b := lm.LoadOne(as, layout, "libc.so")
 	if a != b {
-		t.Fatal("double load created two images")
+		t.Fatal("double load created two mappings")
 	}
 	if len(lm.images) != 1 {
 		t.Fatalf("count = %d", len(lm.images))

@@ -17,12 +17,14 @@ import (
 	"agave/internal/sim"
 )
 
-// Binder operation codes for the "media.player" service.
+// Binder operation codes for the "media.player" service. Code 4 is unused
+// and skipped, so every verb keeps its wire value; playback stops through
+// StopOwned when the client dies.
 const (
 	opOpenMP3 int32 = iota + 1
 	opOpenMP4
 	opStart
-	opStop
+	_
 	opSeek
 )
 
@@ -124,14 +126,6 @@ func (s *Server) handle(ex *kernel.Exec, txn *binder.Transaction) {
 		if sess := s.find(id); sess != nil {
 			sess.active = true
 			sess.start.WakeAll()
-			txn.Reply.WriteInt32(0)
-		} else {
-			txn.Reply.WriteInt32(-1)
-		}
-	case opStop:
-		id, _ := txn.Data.ReadInt32()
-		if sess := s.find(id); sess != nil {
-			sess.active = false
 			txn.Reply.WriteInt32(0)
 		} else {
 			txn.Reply.WriteInt32(-1)

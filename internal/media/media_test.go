@@ -1,7 +1,6 @@
 package media
 
 import (
-	"fmt"
 	"testing"
 
 	"agave/internal/binder"
@@ -28,21 +27,6 @@ func setup(t *testing.T) (*kernel.Kernel, *binder.Driver, *Server, *kernel.Proce
 	return k, d, srv, client
 }
 
-// stop halts p's playback with a raw opStop transaction: no shipped client
-// stops a session, so the service side of the verb is driven from here.
-func stop(ex *kernel.Exec, d *binder.Driver, p *Player) error {
-	data := binder.NewParcel()
-	data.WriteInt32(p.id)
-	reply, err := d.Call(ex, "media.player", opStop, data)
-	if err != nil {
-		return err
-	}
-	if rc, _ := reply.ReadInt32(); rc != 0 {
-		return fmt.Errorf("media: stop failed (%d)", rc)
-	}
-	return nil
-}
-
 func TestOpenStartStopMP3(t *testing.T) {
 	k, d, srv, client := setup(t)
 	k.SpawnThread(client, "main", "main", func(ex *kernel.Exec) {
@@ -56,8 +40,8 @@ func TestOpenStartStopMP3(t *testing.T) {
 			t.Error(err)
 		}
 		ex.SleepFor(200 * sim.Millisecond)
-		if err := stop(ex, d, p); err != nil {
-			t.Error(err)
+		if n := srv.StopOwned(client); n != 1 {
+			t.Errorf("StopOwned stopped %d sessions, want 1", n)
 		}
 	})
 	k.Run(500 * sim.Millisecond)
@@ -67,11 +51,11 @@ func TestOpenStartStopMP3(t *testing.T) {
 	if srv.Mixes == 0 {
 		t.Fatal("mixer never ran")
 	}
-	// Decode stops after Stop: frame count must plateau.
+	// Decode stops after StopOwned: frame count must plateau.
 	n := srv.MP3FramesDecoded
 	k.Run(700 * sim.Millisecond)
 	if srv.MP3FramesDecoded > n+2 {
-		t.Fatalf("decode continued after Stop: %d -> %d", n, srv.MP3FramesDecoded)
+		t.Fatalf("decode continued after StopOwned: %d -> %d", n, srv.MP3FramesDecoded)
 	}
 }
 
@@ -143,14 +127,14 @@ func TestOpenUnknownKind(t *testing.T) {
 	}
 }
 
-func TestStopUnknownSession(t *testing.T) {
+func TestSeekUnknownSession(t *testing.T) {
 	k, d, srv, client := setup(t)
 	ran := false
 	k.SpawnThread(client, "main", "main", func(ex *kernel.Exec) {
 		ex.PushCode(client.Layout.Text)
 		p := &Player{srv: srv, id: 999}
-		if err := stop(ex, d, p); err == nil {
-			t.Error("Stop of unknown session succeeded")
+		if err := p.Seek(ex, d); err == nil {
+			t.Error("Seek of unknown session succeeded")
 		}
 		ran = true
 	})

@@ -24,7 +24,6 @@ func fakeResult(name string, isSpec bool, fill func(c *stats.Collector)) *core.R
 		Processes: 20, Threads: 60,
 		CodeRegions: c.RegionCount(stats.IFetch),
 		DataRegions: c.RegionCount(stats.DataKinds...),
-		Duration:    sim.Second,
 	}
 }
 

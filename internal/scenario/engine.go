@@ -1,48 +1,17 @@
 package scenario
 
 import (
-	"fmt"
-
 	"agave/internal/android"
 	"agave/internal/apps"
 	"agave/internal/kernel"
 	"agave/internal/sim"
-	"agave/internal/stats"
 )
 
-// Config controls one scenario run. It deliberately mirrors core.Config:
-// scenarios are measured exactly like single-app runs — boot, warm up,
-// reset counters, measure — with the timeline scripted across the measured
-// interval.
-type Config struct {
-	// Seed drives every stochastic decision; equal seeds give
-	// bit-identical results.
-	Seed uint64
-	// Duration is the measured simulated interval; the timeline's
-	// Fractions are positions within it.
-	Duration sim.Ticks
-	// Warmup runs the booted (but app-less) stack before measurement:
-	// scenario measurements include app launches by design, so only the
-	// system boot transient is excluded.
-	Warmup sim.Ticks
-	// Quantum is the scheduler time slice all live apps share.
-	Quantum sim.Ticks
-	// DisableJIT turns the trace JIT off in every scenario app.
-	DisableJIT bool
-	// DirtyRectComposition switches SurfaceFlinger to composing only
-	// posted surfaces.
-	DirtyRectComposition bool
-	// MinFreePages is the lowmemorykiller's cached-app kill waterline in
-	// pages; the visible and foreground rungs are derived from it
-	// (0 = the default 32 MB). The CLI's -minfree knob lands here.
-	MinFreePages uint64
-}
-
-// Result is the outcome of one scenario run: the same attributed counter
-// matrix and census scalars a single-app run yields, plus session-level
-// counts.
+// Result is the session-level outcome of one scenario run: what the script
+// applied and what the framework did in response. The attributed counter
+// matrix and the process census belong to the machine, and the runner that
+// booted it (core.RunScenarioDef) takes them.
 type Result struct {
-	Scenario string
 	// Source is the scenario's provenance (empty = bundled library; see
 	// Scenario.Source), copied through so reports can label where each
 	// session definition came from.
@@ -50,16 +19,7 @@ type Result struct {
 	// Apps is the session's app roster (name → workload), copied from the
 	// scenario so downstream consumers can resolve per-app attribution
 	// without re-looking the scenario up in any registry.
-	Apps  []App
-	Stats *stats.Collector
-
-	Processes int
-	Threads   int
-	// LiveProcesses counts processes still alive at the end — the
-	// difference to Processes is the teardown the session performed.
-	LiveProcesses int
-	CodeRegions   int
-	DataRegions   int
+	Apps []App
 
 	// Events is the number of timeline events applied.
 	Events int
@@ -100,8 +60,6 @@ type Result struct {
 	FaultsDetected  int
 	FaultsRecovered int
 	ANRs            int
-
-	Duration sim.Ticks
 }
 
 // InputAppStats is one scenario app's input outcome: delivery counts plus
@@ -111,146 +69,123 @@ type Result struct {
 // the result verbatim.
 type InputAppStats = android.InputAppStats
 
-// driver is the running session state: the scenario's apps by name and the
-// current foreground app. It lives on the ScenarioDriver thread — the
-// simulated counterpart of the `am` tooling scripted sessions use on real
-// devices — so every transition is charged inside system_server at a
-// deterministic simulated time.
-type driver struct {
+// Session is one scripted session in flight: the scenario's apps by name
+// and the current foreground app. Its script runs on the ScenarioDriver
+// thread — the simulated counterpart of the `am` tooling scripted sessions
+// use on real devices — so every transition is charged inside system_server
+// at a deterministic simulated time.
+type Session struct {
+	sc         *Scenario
 	sys        *android.System
-	cfg        Config
+	disableJIT bool
 	byName     map[string]*apps.Workload
 	live       map[string]*android.App
 	foreground string
-	// scriptDone flips once every timeline event has been applied; the
-	// engine steps the machine until it is set.
+	// scriptDone flips once every timeline event has been applied; Finish
+	// steps the machine until it is set.
 	scriptDone bool
 }
 
-// Run executes one scripted session: boot, warm up, then drive the timeline
-// across the measured interval while every live app runs its workload.
-func Run(s *Scenario, cfg Config) (*Result, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
+// Start scripts the validated scenario sc across a measured interval of
+// duration ticks that begins now, on a booted machine whose counters were
+// just reset. It only spawns the driver thread: the caller runs the
+// machine through the interval, then calls Finish. disableJIT turns the
+// trace JIT off in every scenario app.
+func Start(sys *android.System, sc *Scenario, duration sim.Ticks, disableJIT bool) *Session {
+	s := &Session{
+		sc:         sc,
+		sys:        sys,
+		disableJIT: disableJIT,
+		byName:     make(map[string]*apps.Workload, len(sc.Apps)),
+		live:       make(map[string]*android.App, len(sc.Apps)),
 	}
-	if cfg.Duration <= 0 {
-		return nil, fmt.Errorf("scenario %s: non-positive duration", s.Name)
-	}
-	d := &driver{
-		cfg:    cfg,
-		byName: make(map[string]*apps.Workload, len(s.Apps)),
-		live:   make(map[string]*android.App, len(s.Apps)),
-	}
-	for _, a := range s.Apps {
+	for _, a := range sc.Apps {
 		w, err := apps.ByName(a.Workload)
 		if err != nil {
-			return nil, err // unreachable after Validate
+			panic(err) // unreachable: Validate resolved every workload
 		}
-		d.byName[a.Name] = w
+		s.byName[a.Name] = w
 	}
-
-	// Scenario machines always run the memory-pressure model on the 1 GB
-	// device: backgrounded apps can die because the system is out of
-	// memory, not only because the timeline says so.
-	k := kernel.New(kernel.Config{
-		Quantum:  cfg.Quantum,
-		Seed:     cfg.Seed,
-		MemPages: kernel.DefaultMemPages,
-		MinFree:  kernel.DefaultMinFree(cfg.MinFreePages),
-	})
-	defer k.Shutdown()
-	sys := android.Boot(k)
-	sys.Compositor.DirtyRectOnly = cfg.DirtyRectComposition
-	d.sys = sys
-
-	// Warmup covers the system boot transient only: no scenario app exists
-	// yet, because launches are part of the measured session.
-	k.Run(cfg.Warmup)
-	k.Stats.Reset()
-
-	// The driver thread scripts the session from inside the simulation:
-	// it sleeps to each event's deadline and applies the transition, so
-	// event timing, cost, and attribution (to system_server, like the real
-	// ActivityManager's) are deterministic parts of the measurement.
+	// The driver thread sleeps to each event's deadline and applies the
+	// transition, so event timing, cost, and attribution (to system_server,
+	// like the real ActivityManager's) are deterministic parts of the
+	// measurement.
+	k := sys.K
 	start := k.Clock.Now()
 	k.SpawnThread(sys.SystemServer, "ScenarioDriver", "ScenarioDriver", func(ex *kernel.Exec) {
 		ex.PushCode(sys.SystemServer.Layout.Text)
-		for _, ev := range s.Timeline {
-			ex.SleepUntil(ev.at(start, cfg.Duration))
-			d.apply(ex, ev)
+		for _, ev := range sc.Timeline {
+			ex.SleepUntil(ev.at(start, duration))
+			s.apply(ex, ev)
 		}
-		d.scriptDone = true
+		s.scriptDone = true
 		// Script exhausted: park until the run ends.
 		ex.Wait(k.NewWaitQueue("scenario.done"))
 	})
-	k.Run(cfg.Warmup + cfg.Duration)
-	// A scheduler quantum can overshoot the deadline past the timers of
-	// events scripted at the very end of the interval (At near 1000).
-	// Step the machine forward until the whole script has executed, so
-	// every validated event is applied — Result.Events is a promise.
-	for !d.scriptDone {
+	return s
+}
+
+// Finish completes the session after the measured interval and returns its
+// outcome. A scheduler quantum can overshoot the deadline past the timers
+// of events scripted at the very end of the interval (At near 1000), so
+// Finish steps the machine forward until the whole script has executed:
+// every validated event is applied — Result.Events is a promise.
+func (s *Session) Finish() *Result {
+	k := s.sys.K
+	for !s.scriptDone {
 		k.Run(k.Clock.Now() + 1)
 	}
-
 	res := &Result{
-		Scenario:      s.Name,
-		Source:        s.Source,
-		Apps:          append([]App(nil), s.Apps...),
-		Stats:         k.Stats,
-		Processes:     k.ProcessCount(),
-		Threads:       k.ThreadCount(),
-		LiveProcesses: k.LiveProcessCount(),
-		CodeRegions:   k.Stats.RegionCount(stats.IFetch),
-		DataRegions:   k.Stats.RegionCount(stats.DataKinds...),
-		Events:        len(s.Timeline),
-		MaxLive:       s.MaxLiveApps(),
-		LMKKills:      k.LMKKills(),
-		LMKVictims:    append([]string(nil), k.LMKVictims()...),
-		Trims:         sys.Trims(),
-		Duration:      cfg.Duration,
+		Source:     s.sc.Source,
+		Apps:       append([]App(nil), s.sc.Apps...),
+		Events:     len(s.sc.Timeline),
+		MaxLive:    s.sc.MaxLiveApps(),
+		LMKKills:   k.LMKKills(),
+		LMKVictims: append([]string(nil), k.LMKVictims()...),
+		Trims:      s.sys.Trims(),
+		InputApps:  s.sys.InputStats(),
 	}
-	res.InputApps = sys.InputStats()
 	for _, st := range res.InputApps {
 		res.InputEvents += st.Injected
 		res.InputDispatched += st.Dispatched
 		res.InputDropped += st.Dropped
 	}
-	res.FaultsInjected, res.FaultsDetected, res.FaultsRecovered, res.ANRs = sys.Inject.Counts()
-	return res, nil
+	res.FaultsInjected, res.FaultsDetected, res.FaultsRecovered, res.ANRs = s.sys.Inject.Counts()
+	return res
 }
 
 // apply performs one validated timeline event on the driver thread.
-func (d *driver) apply(ex *kernel.Exec, ev Event) {
-	sys := d.sys
+func (s *Session) apply(ex *kernel.Exec, ev Event) {
+	sys := s.sys
 	switch ev.Kind {
 	case Launch:
-		w := d.byName[ev.App]
-		a := apps.LaunchAs(sys, w, ev.App, d.cfg.DisableJIT)
-		d.live[ev.App] = a
+		w := s.byName[ev.App]
+		a := apps.LaunchAs(sys, w, ev.App, s.disableJIT)
+		s.live[ev.App] = a
 		if !w.Background {
 			// The launched activity takes the foreground; whoever held
 			// it is paused, exactly as a real launch backgrounds the
 			// previous task.
-			d.pauseForeground(ex, ev.App)
-			d.foreground = ev.App
+			s.pauseForeground(ex, ev.App)
+			s.foreground = ev.App
 		}
 	case SwitchTo:
-		if d.foreground == ev.App {
+		if s.foreground == ev.App {
 			return
 		}
-		d.pauseForeground(ex, ev.App)
-		sys.ResumeApp(ex, d.live[ev.App])
-		d.foreground = ev.App
+		s.pauseForeground(ex, ev.App)
+		sys.ResumeApp(ex, s.live[ev.App])
+		s.foreground = ev.App
 	case Background:
-		sys.PauseApp(ex, d.live[ev.App])
-		if d.foreground == ev.App {
-			d.foreground = ""
+		sys.PauseApp(ex, s.live[ev.App])
+		if s.foreground == ev.App {
+			s.foreground = ""
 		}
 	case Kill:
-		sys.KillApp(ex, d.live[ev.App])
-		delete(d.live, ev.App)
-		if d.foreground == ev.App {
-			d.foreground = ""
+		sys.KillApp(ex, s.live[ev.App])
+		delete(s.live, ev.App)
+		if s.foreground == ev.App {
+			s.foreground = ""
 		}
 	case Tap:
 		sys.InjectTap(ex, ev.App)
@@ -273,7 +208,7 @@ func (d *driver) apply(ex *kernel.Exec, ev Event) {
 	case CorruptParcel:
 		sys.InjectCorruptParcel(ex, ev.App)
 	case CrashService:
-		d.crashService(ex, ev)
+		s.crashService(ex, ev)
 	case KillMediaserver:
 		sys.CrashMediaserver(ex)
 	}
@@ -284,36 +219,36 @@ func (d *driver) apply(ex *kernel.Exec, ev Event) {
 // back under the same name. The script considers the app continuously live
 // — later events target the restarted incarnation. A runtime-dead target
 // drops the fault.
-func (d *driver) crashService(ex *kernel.Exec, ev Event) {
-	sys := d.sys
-	a, ok := d.live[ev.App]
+func (s *Session) crashService(ex *kernel.Exec, ev Event) {
+	sys := s.sys
+	a, ok := s.live[ev.App]
 	if !ok || a.Dead {
 		return
 	}
-	wasFg := d.foreground == ev.App
-	prevFg := d.foreground
+	wasFg := s.foreground == ev.App
+	prevFg := s.foreground
 	sys.CrashApp(ex, a)
-	delete(d.live, ev.App)
+	delete(s.live, ev.App)
 	if wasFg {
-		d.foreground = ""
+		s.foreground = ""
 	}
-	w := d.byName[ev.App]
-	restarted := apps.LaunchAs(sys, w, ev.App, d.cfg.DisableJIT)
-	d.live[ev.App] = restarted
+	w := s.byName[ev.App]
+	restarted := apps.LaunchAs(sys, w, ev.App, s.disableJIT)
+	s.live[ev.App] = restarted
 	sys.Inject.NoteRecovered()
 	if w.Background {
 		return
 	}
 	if wasFg {
 		// The crashed activity held the screen; its restart takes it back.
-		d.foreground = ev.App
+		s.foreground = ev.App
 		return
 	}
 	// It was behind another app: the restart happens in the background and
 	// the previous foreground app keeps (formally, retakes) its slot.
 	sys.PauseApp(ex, restarted)
 	if prevFg != "" {
-		if p, ok := d.live[prevFg]; ok && !p.Dead {
+		if p, ok := s.live[prevFg]; ok && !p.Dead {
 			sys.ResumeApp(ex, p)
 		}
 	}
@@ -321,12 +256,12 @@ func (d *driver) crashService(ex *kernel.Exec, ev Event) {
 
 // pauseForeground pauses the current foreground app, if any, unless it is
 // the app about to take over.
-func (d *driver) pauseForeground(ex *kernel.Exec, next string) {
-	if d.foreground == "" || d.foreground == next {
+func (s *Session) pauseForeground(ex *kernel.Exec, next string) {
+	if s.foreground == "" || s.foreground == next {
 		return
 	}
-	if a, ok := d.live[d.foreground]; ok {
-		d.sys.PauseApp(ex, a)
+	if a, ok := s.live[s.foreground]; ok {
+		s.sys.PauseApp(ex, a)
 	}
-	d.foreground = ""
+	s.foreground = ""
 }

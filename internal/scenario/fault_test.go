@@ -1,9 +1,11 @@
-package scenario
+package scenario_test
 
 import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"agave/internal/scenario"
 )
 
 // TestChaosLibraryScenariosInjectDetectRecover pins the acceptance bar on
@@ -12,14 +14,9 @@ import (
 // must replay bit-identically.
 func TestChaosLibraryScenariosInjectDetectRecover(t *testing.T) {
 	for _, name := range []string{"binder-storm", "mediaserver-meltdown"} {
-		sc, err := ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := Run(sc, quickCfg())
-		if err != nil {
-			t.Fatal(err)
-		}
+		sc := bundled(t, name)
+		run1 := run(t, sc, quickCfg())
+		r := run1.Session
 		if r.Events != len(sc.Timeline) {
 			t.Errorf("%s: applied %d events, want %d", name, r.Events, len(sc.Timeline))
 		}
@@ -32,11 +29,9 @@ func TestChaosLibraryScenariosInjectDetectRecover(t *testing.T) {
 		if r.FaultsRecovered == 0 {
 			t.Errorf("%s: no recovery completed", name)
 		}
-		r2, err := Run(sc, quickCfg())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Stats.Fingerprint() != r2.Stats.Fingerprint() {
+		run2 := run(t, sc, quickCfg())
+		r2 := run2.Session
+		if run1.Stats.Fingerprint() != run2.Stats.Fingerprint() {
 			t.Errorf("%s: chaos session is not seed-deterministic", name)
 		}
 		if r.FaultsInjected != r2.FaultsInjected || r.FaultsDetected != r2.FaultsDetected ||
@@ -52,29 +47,26 @@ func TestChaosLibraryScenariosInjectDetectRecover(t *testing.T) {
 // must leave the app targetable — the script's later switchto and tap aim at
 // the restarted incarnation, and the session ends with the recovery counted.
 func TestCrashServiceRestartsAndLaterEventsLand(t *testing.T) {
-	sc := &Scenario{
+	sc := &scenario.Scenario{
 		Name: "crash-restart",
-		Apps: []App{
+		Apps: []scenario.App{
 			{Name: "game", Workload: "frozenbubble.main"},
 			{Name: "dict", Workload: "aard.main"},
 		},
-		Timeline: []Event{
-			{At: 0, Kind: Launch, App: "game"},
-			{At: 100, Kind: Launch, App: "dict"},
-			{At: 300, Kind: CrashService, App: "game"}, // crashes behind dict
-			{At: 500, Kind: SwitchTo, App: "game"},     // targets the restart
-			{At: 650, Kind: Tap, App: "game"},
-			{At: 800, Kind: CrashService, App: "game"}, // crashes while foreground
-			{At: 950, Kind: Tap, App: "game"},
+		Timeline: []scenario.Event{
+			{At: 0, Kind: scenario.Launch, App: "game"},
+			{At: 100, Kind: scenario.Launch, App: "dict"},
+			{At: 300, Kind: scenario.CrashService, App: "game"}, // crashes behind dict
+			{At: 500, Kind: scenario.SwitchTo, App: "game"},     // targets the restart
+			{At: 650, Kind: scenario.Tap, App: "game"},
+			{At: 800, Kind: scenario.CrashService, App: "game"}, // crashes while foreground
+			{At: 950, Kind: scenario.Tap, App: "game"},
 		},
 	}
 	if err := sc.Validate(); err != nil {
 		t.Fatalf("crashService must keep its target script-live: %v", err)
 	}
-	r, err := Run(sc, quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run(t, sc, quickCfg()).Session
 	if r.Events != len(sc.Timeline) {
 		t.Fatalf("applied %d events, want %d", r.Events, len(sc.Timeline))
 	}
@@ -94,60 +86,60 @@ func TestCrashServiceRestartsAndLaterEventsLand(t *testing.T) {
 // convention promises; killMediaserver needs no target and crashService does
 // not remove its target from the live set.
 func TestValidatorRejectsFaultsAtNonLiveTargets(t *testing.T) {
-	apps := []App{
+	apps := []scenario.App{
 		{Name: "game", Workload: "frozenbubble.main"},
 		{Name: "dict", Workload: "aard.main"},
 	}
 	for _, tc := range []struct {
 		name     string
-		timeline []Event
+		timeline []scenario.Event
 		wantErr  string
 	}{
 		{
 			name: "fault-before-launch",
-			timeline: []Event{
-				{At: 0, Kind: Launch, App: "game"},
-				{At: 100, Kind: FaultBinder, App: "dict"},
+			timeline: []scenario.Event{
+				{At: 0, Kind: scenario.Launch, App: "game"},
+				{At: 100, Kind: scenario.FaultBinder, App: "dict"},
 			},
 			wantErr: `timeline[1]: event "at=100 faultBinder dict" injects a fault into an app that is not running`,
 		},
 		{
 			name: "corrupt-after-kill",
-			timeline: []Event{
-				{At: 0, Kind: Launch, App: "game"},
-				{At: 200, Kind: Kill, App: "game"},
-				{At: 400, Kind: CorruptParcel, App: "game"},
+			timeline: []scenario.Event{
+				{At: 0, Kind: scenario.Launch, App: "game"},
+				{At: 200, Kind: scenario.Kill, App: "game"},
+				{At: 400, Kind: scenario.CorruptParcel, App: "game"},
 			},
 			wantErr: "timeline[2]",
 		},
 		{
 			name: "crash-never-launched",
-			timeline: []Event{
-				{At: 0, Kind: Launch, App: "game"},
-				{At: 300, Kind: CrashService, App: "dict"},
+			timeline: []scenario.Event{
+				{At: 0, Kind: scenario.Launch, App: "game"},
+				{At: 300, Kind: scenario.CrashService, App: "dict"},
 			},
 			wantErr: "injects a fault into an app that is not running",
 		},
 		{
 			name: "mediaserver-kill-with-target",
-			timeline: []Event{
-				{At: 0, Kind: Launch, App: "game"},
-				{At: 300, Kind: KillMediaserver, App: "game"},
+			timeline: []scenario.Event{
+				{At: 0, Kind: scenario.Launch, App: "game"},
+				{At: 300, Kind: scenario.KillMediaserver, App: "game"},
 			},
 			wantErr: "killMediaserver event names app",
 		},
 		{
 			name: "fault-after-crash-is-legal",
-			timeline: []Event{
-				{At: 0, Kind: Launch, App: "game"},
-				{At: 300, Kind: CrashService, App: "game"},
-				{At: 600, Kind: FaultBinder, App: "game"},
-				{At: 800, Kind: KillMediaserver},
+			timeline: []scenario.Event{
+				{At: 0, Kind: scenario.Launch, App: "game"},
+				{At: 300, Kind: scenario.CrashService, App: "game"},
+				{At: 600, Kind: scenario.FaultBinder, App: "game"},
+				{At: 800, Kind: scenario.KillMediaserver},
 			},
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sc := &Scenario{Name: tc.name, Apps: apps, Timeline: tc.timeline}
+			sc := &scenario.Scenario{Name: tc.name, Apps: apps, Timeline: tc.timeline}
 			err := sc.Validate()
 			if tc.wantErr == "" {
 				if err != nil {
@@ -170,8 +162,8 @@ func TestValidatorRejectsFaultsAtNonLiveTargets(t *testing.T) {
 // in the scenario name, generation stays a pure function, and the session
 // runs with every event applied.
 func TestGeneratorFaultsKnob(t *testing.T) {
-	cfg := GenConfig{Seed: 9, Apps: 4, Events: 16, Faults: 8}
-	s := Generate(cfg)
+	cfg := scenario.GenConfig{Seed: 9, Apps: 4, Events: 16, Faults: 8}
+	s := scenario.Generate(cfg)
 	if err := s.Validate(); err != nil {
 		t.Fatalf("generated chaos session invalid: %v", err)
 	}
@@ -181,27 +173,24 @@ func TestGeneratorFaultsKnob(t *testing.T) {
 	var faults int
 	for _, ev := range s.Timeline {
 		switch ev.Kind {
-		case FaultBinder, CrashService, KillMediaserver, CorruptParcel:
+		case scenario.FaultBinder, scenario.CrashService, scenario.KillMediaserver, scenario.CorruptParcel:
 			faults++
 		}
 	}
 	if faults != 8 {
 		t.Fatalf("generated %d fault events, want 8", faults)
 	}
-	if !reflect.DeepEqual(s, Generate(cfg)) {
+	if !reflect.DeepEqual(s, scenario.Generate(cfg)) {
 		t.Fatal("fault-bearing generation is not deterministic")
 	}
 	// The liveness guarantee must hold across seeds, not just one draw.
 	for seed := uint64(1); seed <= 10; seed++ {
-		g := Generate(GenConfig{Seed: seed, Apps: 3, Events: 12, Faults: 6})
+		g := scenario.Generate(scenario.GenConfig{Seed: seed, Apps: 3, Events: 12, Faults: 6})
 		if err := g.Validate(); err != nil {
 			t.Fatalf("seed %d: generated chaos session invalid: %v", seed, err)
 		}
 	}
-	r, err := Run(s, quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run(t, s, quickCfg()).Session
 	if r.Events != len(s.Timeline) {
 		t.Fatalf("applied %d events, want %d", r.Events, len(s.Timeline))
 	}

@@ -1,14 +1,17 @@
-package scenario
+package scenario_test
 
 import (
 	"reflect"
 	"testing"
+
+	"agave/internal/core"
+	"agave/internal/scenario"
 )
 
 // inputTotalsConsistent asserts the input-accounting invariant on a result:
 // every injected sample is either dispatched or dropped, at the session
 // level and per app, and latency aggregates are coherent.
-func inputTotalsConsistent(t *testing.T, r *Result) {
+func inputTotalsConsistent(t *testing.T, r *scenario.Result) {
 	t.Helper()
 	if r.InputEvents != r.InputDispatched+r.InputDropped {
 		t.Fatalf("input totals inconsistent: %d events != %d dispatched + %d dropped",
@@ -46,14 +49,7 @@ func inputTotalsConsistent(t *testing.T, r *Result) {
 // accounting invariant.
 func TestInputLibraryScenariosDispatchAndDrop(t *testing.T) {
 	for _, name := range []string{"thumb-scroll", "arcade-rally"} {
-		sc, err := ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := Run(sc, quickCfg())
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := run(t, bundled(t, name), quickCfg()).Session
 		inputTotalsConsistent(t, r)
 		if r.InputEvents == 0 {
 			t.Fatalf("%s: no input injected", name)
@@ -80,28 +76,22 @@ func TestInputLibraryScenariosDispatchAndDrop(t *testing.T) {
 // that lost the foreground are dropped by the InputDispatcher — and two runs
 // of the session agree on every counter and on the full counter matrix.
 func TestInputToUnfocusedAppDropsDeterministically(t *testing.T) {
-	sc := &Scenario{
+	sc := &scenario.Scenario{
 		Name: "stale-taps",
-		Apps: []App{
+		Apps: []scenario.App{
 			{Name: "note", Workload: "countdown.main"},
 			{Name: "game", Workload: "frozenbubble.main"},
 		},
-		Timeline: []Event{
-			{At: 0, Kind: Launch, App: "note"},
-			{At: 100, Kind: Launch, App: "game"}, // note loses the focus
-			{At: 300, Kind: Tap, App: "note"},
-			{At: 450, Kind: Tap, App: "note"},
-			{At: 600, Kind: Key, App: "note"},
+		Timeline: []scenario.Event{
+			{At: 0, Kind: scenario.Launch, App: "note"},
+			{At: 100, Kind: scenario.Launch, App: "game"}, // note loses the focus
+			{At: 300, Kind: scenario.Tap, App: "note"},
+			{At: 450, Kind: scenario.Tap, App: "note"},
+			{At: 600, Kind: scenario.Key, App: "note"},
 		},
 	}
-	a, err := Run(sc, quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(sc, quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	runA, runB := run(t, sc, quickCfg()), run(t, sc, quickCfg())
+	a, b := runA.Session, runB.Session
 	inputTotalsConsistent(t, a)
 	if a.InputEvents != 5 || a.InputDropped != 5 || a.InputDispatched != 0 {
 		t.Fatalf("unfocused gestures not all dropped: %d/%d/%d",
@@ -111,7 +101,7 @@ func TestInputToUnfocusedAppDropsDeterministically(t *testing.T) {
 		t.Fatalf("drop accounting nondeterministic: %d/%d vs %d/%d",
 			a.InputDispatched, a.InputDropped, b.InputDispatched, b.InputDropped)
 	}
-	if a.Stats.Fingerprint() != b.Stats.Fingerprint() {
+	if runA.Stats.Fingerprint() != runB.Stats.Fingerprint() {
 		t.Fatal("input-bearing session is not seed-deterministic")
 	}
 	if !reflect.DeepEqual(a.InputApps, b.InputApps) {
@@ -124,25 +114,23 @@ func TestInputToUnfocusedAppDropsDeterministically(t *testing.T) {
 // gesture at At=1000, the final measured tick. Both must be dropped and
 // counted — never a panic, never an unaccounted event.
 func TestInputMidKillAndFinalTickNeverPanic(t *testing.T) {
-	sc := &Scenario{
+	sc := &scenario.Scenario{
 		Name: "kill-race",
-		Apps: []App{{Name: "game", Workload: "frozenbubble.main"}},
-		Timeline: []Event{
-			{At: 0, Kind: Launch, App: "game"},
-			{At: 200, Kind: Tap, App: "game"},
-			{At: 500, Kind: Kill, App: "game"},
-			{At: 500, Kind: Tap, App: "game"},    // races the kill
-			{At: 600, Kind: Key, App: "game"},    // dead target
-			{At: 1000, Kind: Swipe, App: "game"}, // final measured tick
+		Apps: []scenario.App{{Name: "game", Workload: "frozenbubble.main"}},
+		Timeline: []scenario.Event{
+			{At: 0, Kind: scenario.Launch, App: "game"},
+			{At: 200, Kind: scenario.Tap, App: "game"},
+			{At: 500, Kind: scenario.Kill, App: "game"},
+			{At: 500, Kind: scenario.Tap, App: "game"},    // races the kill
+			{At: 600, Kind: scenario.Key, App: "game"},    // dead target
+			{At: 1000, Kind: scenario.Swipe, App: "game"}, // final measured tick
 		},
 	}
 	if err := sc.Validate(); err != nil {
 		t.Fatalf("input events at dead apps must validate: %v", err)
 	}
-	r, err := Run(sc, quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	run1 := run(t, sc, quickCfg())
+	r := run1.Session
 	inputTotalsConsistent(t, r)
 	if r.Events != len(sc.Timeline) {
 		t.Fatalf("applied %d events, want %d", r.Events, len(sc.Timeline))
@@ -156,11 +144,8 @@ func TestInputMidKillAndFinalTickNeverPanic(t *testing.T) {
 		t.Fatalf("only %d samples dropped, want >= 8 (kill race, dead target, final tick)",
 			r.InputDropped)
 	}
-	r2, err := Run(sc, quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.InputDropped != r2.InputDropped || r.Stats.Fingerprint() != r2.Stats.Fingerprint() {
+	run2 := run(t, sc, quickCfg())
+	if r.InputDropped != run2.Session.InputDropped || run1.Stats.Fingerprint() != run2.Stats.Fingerprint() {
 		t.Fatal("kill-race session is not deterministic")
 	}
 }
@@ -170,37 +155,31 @@ func TestInputMidKillAndFinalTickNeverPanic(t *testing.T) {
 // session with taps must attribute strictly more references to the target
 // app than the tap-free control.
 func TestDispatchedInputChangesMeasuredBehavior(t *testing.T) {
-	base := &Scenario{
+	base := &scenario.Scenario{
 		Name: "control",
-		Apps: []App{{Name: "game", Workload: "frozenbubble.main"}},
-		Timeline: []Event{
-			{At: 0, Kind: Launch, App: "game"},
-			{At: 500, Kind: Idle},
+		Apps: []scenario.App{{Name: "game", Workload: "frozenbubble.main"}},
+		Timeline: []scenario.Event{
+			{At: 0, Kind: scenario.Launch, App: "game"},
+			{At: 500, Kind: scenario.Idle},
 		},
 	}
-	tapped := &Scenario{
+	tapped := &scenario.Scenario{
 		Name: "tapped",
-		Apps: []App{{Name: "game", Workload: "frozenbubble.main"}},
-		Timeline: []Event{
-			{At: 0, Kind: Launch, App: "game"},
-			{At: 250, Kind: Tap, App: "game"},
-			{At: 350, Kind: Tap, App: "game"},
-			{At: 450, Kind: Swipe, App: "game"},
-			{At: 500, Kind: Idle},
+		Apps: []scenario.App{{Name: "game", Workload: "frozenbubble.main"}},
+		Timeline: []scenario.Event{
+			{At: 0, Kind: scenario.Launch, App: "game"},
+			{At: 250, Kind: scenario.Tap, App: "game"},
+			{At: 350, Kind: scenario.Tap, App: "game"},
+			{At: 450, Kind: scenario.Swipe, App: "game"},
+			{At: 500, Kind: scenario.Idle},
 		},
 	}
-	rb, err := Run(base, quickCfg())
-	if err != nil {
-		t.Fatal(err)
+	rb := run(t, base, quickCfg())
+	rt := run(t, tapped, quickCfg())
+	if rt.Session.InputDispatched == 0 {
+		t.Fatalf("no tap reached the foreground game (dropped %d)", rt.Session.InputDropped)
 	}
-	rt, err := Run(tapped, quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt.InputDispatched == 0 {
-		t.Fatalf("no tap reached the foreground game (dropped %d)", rt.InputDropped)
-	}
-	refs := func(r *Result) uint64 {
+	refs := func(r *core.Result) uint64 {
 		var n uint64
 		for name, c := range r.Stats.ByProcess() {
 			if name == "game" {
@@ -219,8 +198,8 @@ func TestDispatchedInputChangesMeasuredBehavior(t *testing.T) {
 // a valid timeline, the knob value lands in the scenario name, and the
 // session runs with consistent input accounting.
 func TestGeneratorInputsKnob(t *testing.T) {
-	cfg := GenConfig{Seed: 5, Apps: 3, Events: 12, Inputs: 10}
-	s := Generate(cfg)
+	cfg := scenario.GenConfig{Seed: 5, Apps: 3, Events: 12, Inputs: 10}
+	s := scenario.Generate(cfg)
 	if err := s.Validate(); err != nil {
 		t.Fatalf("generated input session invalid: %v", err)
 	}
@@ -230,7 +209,7 @@ func TestGeneratorInputsKnob(t *testing.T) {
 	var gestures int
 	for _, ev := range s.Timeline {
 		switch ev.Kind {
-		case Tap, Key, Swipe:
+		case scenario.Tap, scenario.Key, scenario.Swipe:
 			gestures++
 		}
 	}
@@ -238,13 +217,10 @@ func TestGeneratorInputsKnob(t *testing.T) {
 		t.Fatalf("generated %d input gestures, want 10", gestures)
 	}
 	// Same config, same bytes: the generator stays a pure function.
-	if !reflect.DeepEqual(s, Generate(cfg)) {
+	if !reflect.DeepEqual(s, scenario.Generate(cfg)) {
 		t.Fatal("input-bearing generation is not deterministic")
 	}
-	r, err := Run(s, quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run(t, s, quickCfg()).Session
 	inputTotalsConsistent(t, r)
 	if r.InputEvents == 0 {
 		t.Fatal("generated gestures injected nothing")

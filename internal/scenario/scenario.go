@@ -21,6 +21,12 @@
 // Event times are expressed as thousandths of the measured interval, so a
 // scenario's shape is duration-invariant: a 150 ms regression run and a
 // 10 s measurement run execute the same session, scaled.
+//
+// The package scripts sessions; it never creates a machine. The runner in
+// internal/core boots the memory-pressure kernel, warms it up and resets
+// the counters, then Start spawns the ScenarioDriver thread that applies
+// the timeline, and Finish completes the script and reports the session
+// outcome; the runner takes the census.
 package scenario
 
 import (
@@ -349,7 +355,7 @@ func (s *Scenario) Validate() error {
 // the clamp an end-of-interval event would land one tick past the last
 // measured one and its effects would fall outside the measurement. Events
 // close to the end may still land beyond the scheduling horizon (a quantum
-// can overshoot the deadline); the engine keeps stepping the machine until
+// can overshoot the deadline); Session.Finish keeps stepping the machine until
 // the script has fully executed, so they are applied, never dropped.
 func (e Event) at(start, duration sim.Ticks) sim.Ticks {
 	t := start + duration*sim.Ticks(e.At)/1000

@@ -19,12 +19,11 @@ const (
 )
 
 type mcfGraph struct {
-	head   [mcfArcs]int32
-	next   [mcfArcs]int32
-	cost   [mcfArcs]int32
-	first  [mcfNodes]int32
-	dist   [mcfNodes]int64
-	inited bool
+	head  [mcfArcs]int32
+	next  [mcfArcs]int32
+	cost  [mcfArcs]int32
+	first [mcfNodes]int32
+	dist  [mcfNodes]int64
 }
 
 func (g *mcfGraph) init(seed uint64) {
@@ -41,7 +40,6 @@ func (g *mcfGraph) init(seed uint64) {
 		g.next[a] = g.first[from]
 		g.first[from] = int32(a)
 	}
-	g.inited = true
 }
 
 func stepMCF(ex *kernel.Exec, env *Env) {
