@@ -182,6 +182,15 @@ func BenchmarkSuiteSerial(b *testing.B) { runPlanBench(b, 1) }
 // on a single-core runner the two benches coincide.
 func BenchmarkSuiteParallel(b *testing.B) { runPlanBench(b, 0) }
 
+// runBundled runs the bundled scenario name.
+func runBundled(name string, cfg core.Config) (*core.Result, error) {
+	sc, err := scenario.ByName(name)
+	if err != nil {
+		return nil, err
+	}
+	return core.RunScenarioDef(sc, cfg)
+}
+
 // BenchmarkScenario runs the scripted multi-app sessions end to end: the
 // lifecycle-heavy pair (4 concurrently-live apps; kill/relaunch churn) plus
 // the media handoff scenario. Reported metrics: total attributed references
@@ -191,7 +200,7 @@ func BenchmarkScenario(b *testing.B) {
 	for _, name := range []string{"social-burst", "app-churn", "media-marathon"} {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r, err := core.RunScenario(name, benchConfig())
+				r, err := runBundled(name, benchConfig())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -211,7 +220,7 @@ func BenchmarkScenarioPressure(b *testing.B) {
 	for _, name := range []string{"memory-storm", "cached-app-eviction"} {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r, err := core.RunScenario(name, benchConfig())
+				r, err := runBundled(name, benchConfig())
 				if err != nil {
 					b.Fatal(err)
 				}

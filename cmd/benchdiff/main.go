@@ -28,7 +28,8 @@
 //
 // Exit status: 0 ok, 1 regression past a threshold (or baseline unreadable,
 // or a baseline entry has a non-positive ns/op — or allocs/op where the run
-// measured some — and is incomparable), 2 usage/parse error.
+// measured some — and is incomparable), 2 usage/parse error (a NaN or
+// infinite value included).
 //
 // Benchmarks present only in the run (new) or only in the baseline
 // (removed/renamed) are reported but never fail the gate — the baseline is
@@ -42,6 +43,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"regexp"
 	"runtime"
@@ -61,6 +63,20 @@ type Benchmark struct {
 	Metrics    map[string]float64 `json:"metrics,omitempty"`
 
 	samples int
+}
+
+// finite reports whether every value of b is a finite number. ParseFloat
+// accepts "NaN" and "Inf", and a sum of repeated counts can overflow to Inf;
+// such a value has no JSON encoding, and a NaN compares false against every
+// threshold, so it would pass the gate unseen.
+func (b *Benchmark) finite() bool {
+	ok := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	for _, v := range b.Metrics {
+		if !ok(v) {
+			return false
+		}
+	}
+	return ok(b.NsPerOp) && ok(b.BytesPerOp) && ok(b.AllocsOp)
 }
 
 // Snapshot is the JSON document a bench run serializes to.
@@ -141,6 +157,9 @@ func parseBench(r io.Reader) (*Snapshot, error) {
 		}
 		if len(b.Metrics) == 0 {
 			b.Metrics = nil
+		}
+		if !b.finite() {
+			return nil, fmt.Errorf("benchdiff: %s: non-finite value", name)
 		}
 		snap.Benchmarks = append(snap.Benchmarks, *b)
 	}

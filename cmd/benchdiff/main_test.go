@@ -43,6 +43,54 @@ func TestParseBench(t *testing.T) {
 	if sub.Name != "Scenario/social-burst" || sub.Metrics["total_refs"] != 143067000 {
 		t.Fatalf("sub-benchmark parsed wrong: %+v", sub)
 	}
+
+	// Non-finite values parse as floats but must fail the parse, naming
+	// the benchmark: a NaN compares false against every threshold and
+	// would pass the gate.
+	for _, in := range []string{
+		"BenchmarkSuiteSerial-2 13 NaN ns/op 12811862 B/op 14042 allocs/op\n",
+		"BenchmarkSuiteSerial-2 13 1 ns/op 12811862 B/op NaN allocs/op\n",
+		"BenchmarkSuiteSerial-2 13 1 ns/op -Inf workers\n",
+		"BenchmarkSuiteSerial-2 1 1e308 ns/op\nBenchmarkSuiteSerial-2 1 1e308 ns/op\n", // the sum overflows
+	} {
+		if _, err := parseBench(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "SuiteSerial") {
+			t.Errorf("non-finite input %q: err = %v, want a parse error naming SuiteSerial", in, err)
+		}
+		if code, _, _ := invoke(t, in, "-baseline", "/no/such/file.json"); code != 2 {
+			t.Errorf("non-finite input %q: exit %d, want 2", in, code)
+		}
+	}
+}
+
+// FuzzParseBench fuzzes the bench-output parser, the gate's reader of
+// external text. Invariants: parseBench never panics, and every snapshot it
+// accepts holds only finite values and encodes to JSON.
+func FuzzParseBench(f *testing.F) {
+	f.Add(sampleOutput)
+	f.Add("BenchmarkX-4 1 100 ns/op\nBenchmarkX-4 1 300 ns/op\n")
+	f.Add("BenchmarkSuiteSerial-2 13 NaN ns/op 12811862 B/op 14042 allocs/op\n")
+	f.Add("BenchmarkY 5 1e308 ns/op 1e308 B/op\nBenchmarkY 5 1e308 ns/op 1e308 B/op\n")
+	f.Add("BenchmarkZ-8 0x10 1 ns/op\nBenchmark 1 2 3\n")
+	f.Fuzz(func(t *testing.T, in string) {
+		snap, err := parseBench(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		for _, b := range snap.Benchmarks {
+			vals := []float64{b.NsPerOp, b.BytesPerOp, b.AllocsOp}
+			for _, v := range b.Metrics {
+				vals = append(vals, v)
+			}
+			for _, v := range vals {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("accepted a non-finite value: %+v\ninput: %q", b, in)
+				}
+			}
+		}
+		if _, err := json.Marshal(snap); err != nil {
+			t.Fatalf("accepted snapshot does not encode: %v\ninput: %q", err, in)
+		}
+	})
 }
 
 func TestParseBenchAveragesRepeatedCounts(t *testing.T) {

@@ -34,7 +34,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	apps.Launch(sys, w)
+	apps.Launch(sys, w, "benchmark", w.Name, false)
 	k.Run(sim.Ticks(*durationMS) * sim.Millisecond)
 
 	fmt.Printf("captured %d records (%d dropped by sampling)\n", ring.Len(), ring.Dropped)

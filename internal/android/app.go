@@ -2,6 +2,7 @@ package android
 
 import (
 	"fmt"
+	"strings"
 
 	"agave/internal/binder"
 	"agave/internal/dalvik"
@@ -169,7 +170,7 @@ func (sys *System) NewApp(cfg AppConfig) *App {
 			if _, err := txn.Data.ReadString(); err != nil {
 				a.VM.InterpBulk(ex, a.frameworkDexFor(ex), 300, false)
 				txn.Reply.WriteInt32(-74) // -EBADMSG
-				sys.noteDetectedFault()
+				sys.NoteDetectedFault()
 				return
 			}
 			a.VM.InterpBulk(ex, a.frameworkDexFor(ex), 1200, false)
@@ -196,19 +197,10 @@ func (a *App) frameworkDexFor(ex *kernel.Exec) *dalvik.LoadedDex {
 // real device.
 func jniLibName(label string) string {
 	first := label
-	if i := indexByte(label, '.'); i > 0 {
+	if i := strings.IndexByte(label, '.'); i > 0 {
 		first = label[:i]
 	}
 	return "lib" + first + "_jni.so"
-}
-
-func indexByte(s string, b byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == b {
-			return i
-		}
-	}
-	return -1
 }
 
 // Start launches the app's main thread: activity lifecycle (Binder calls to

@@ -222,3 +222,88 @@ func TestCrashMediaserverAdoptsInFlightSessions(t *testing.T) {
 		t.Fatalf("recovered = %d, want 2 (the restart + one relaunched session)", rec)
 	}
 }
+
+// TestAppDeathDrainsEndpoint: every way an app dies — a scripted KillApp, a
+// CrashApp, and a lowmemorykiller kill reaped by the ActivityManager —
+// leaves no transaction queued at the dead endpoint. The probe pings the
+// endpoint oneway faster than its two binder threads serve, so pings are
+// still queued when the app dies (for the lowmemorykiller it pings on until
+// the reaper unregisters the endpoint, so the pings sent between the kill
+// and the reap have no thread left to serve them); the teardown must abort
+// them rather than leave them pending for good.
+func TestAppDeathDrainsEndpoint(t *testing.T) {
+	const pool = 2 // binder threads per app endpoint, one transaction in flight each
+	ping := func(ex *kernel.Exec, sys *System) bool {
+		return sys.Binder.CallOneway(ex, "app.victim.app", appPingCode, frameworkPingParcel("victim.app")) == nil
+	}
+	flood := func(ex *kernel.Exec, sys *System) int {
+		n := 0
+		for i := 0; i < 512; i++ {
+			if ping(ex, sys) {
+				n++
+			}
+		}
+		return n
+	}
+	for _, death := range []struct {
+		name string
+		die  func(ex *kernel.Exec, sys *System, a *App) int // returns the pings sent
+	}{
+		{"kill", func(ex *kernel.Exec, sys *System, a *App) int {
+			n := flood(ex, sys)
+			sys.KillApp(ex, a)
+			return n
+		}},
+		{"crash", func(ex *kernel.Exec, sys *System, a *App) int {
+			n := flood(ex, sys)
+			sys.CrashApp(ex, a)
+			return n
+		}},
+		{"lmk", func(ex *kernel.Exec, sys *System, a *App) int {
+			// Starve the machine: the lowmemorykiller takes the cached
+			// victim and the ActivityManager reaps it.
+			starve := int64(sys.K.FreePages())
+			sys.K.Balloon(starve)
+			n := 0
+			for ping(ex, sys) {
+				n++
+			}
+			sys.K.Balloon(-starve)
+			return n
+		}},
+	} {
+		t.Run(death.name, func(t *testing.T) {
+			k := kernel.New(kernel.Config{
+				Quantum:  100 * sim.Microsecond,
+				MemPages: kernel.DefaultMemPages,
+				MinFree:  kernel.DefaultMinFree(0),
+			})
+			t.Cleanup(k.Shutdown)
+			sys := Boot(k)
+			victim := blockedApp(sys, "victim.app")
+			svc, ok := sys.Binder.Lookup("app.victim.app")
+			if !ok {
+				t.Fatal("victim endpoint not registered")
+			}
+			sent := -1
+			k.SpawnThread(sys.SystemServer, "probe", "probe", func(ex *kernel.Exec) {
+				ex.PushCode(sys.SystemServer.Layout.Text)
+				ex.SleepFor(300 * sim.Millisecond)
+				// Backgrounded, the victim is the cached app the killer
+				// picks first.
+				sys.PauseApp(ex, victim)
+				sent = death.die(ex, sys, victim)
+			})
+			k.Run(2 * sim.Second)
+			if sent < 0 || !victim.Dead {
+				t.Fatalf("sent=%d dead=%v: the probe did not see the victim die", sent, victim.Dead)
+			}
+			if svc.Calls+pool >= uint64(sent) {
+				t.Fatalf("the pool served %d of %d pings: none was left queued at the death", svc.Calls, sent)
+			}
+			if n := sys.Binder.AbortPending(svc); n != 0 {
+				t.Fatalf("%d transactions still queued at the dead endpoint, want 0", n)
+			}
+		})
+	}
+}

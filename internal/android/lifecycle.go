@@ -145,12 +145,9 @@ func (sys *System) ResumeApp(ex *kernel.Exec, a *App) {
 }
 
 // KillApp tears application a down the way the ActivityManager kills a
-// process: its media sessions stop (the client-death notification path),
-// its binder endpoint leaves the context manager, its surface leaves
-// composition, and every thread of the app process and its app_process
-// helpers terminates. The dead App remains inspectable; launching a fresh
-// app under the same name afterwards is allowed (the scenario engine's
-// relaunch path).
+// process: the app's destroy transaction, then the teardown every app death
+// shares. The dead App remains inspectable; launching a fresh app under the
+// same name afterwards is allowed (the scenario engine's relaunch path).
 func (sys *System) KillApp(ex *kernel.Exec, a *App) {
 	if a.Dead {
 		return
@@ -159,10 +156,28 @@ func (sys *System) KillApp(ex *kernel.Exec, a *App) {
 	if _, err := sys.Binder.Call(ex, "activity", 4, lifecycleParcel(a.Cfg.Label, "destroy")); err != nil {
 		panic(err)
 	}
+	sys.teardown(a)
+	sys.noteDead(a)
+	// Kernel-side exit bookkeeping: task teardown, address-space unmap.
+	ex.Syscall(6000, 1500)
+}
+
+// teardown is the part of an app death that charges nothing, shared by
+// KillApp, CrashApp and the reaping of a process the kernel killed: the
+// app's media sessions stop (the client-death notification path), its
+// binder endpoint leaves the context manager, its surface leaves
+// composition, every thread of the app process and its app_process helpers
+// terminates (killing an already-dead process is a no-op), and transactions
+// still queued at the dead endpoint complete with DEAD_REPLY, so no client
+// wedges on a reply that will never come. Callers charge their own costs
+// around it.
+func (sys *System) teardown(a *App) {
 	if sys.Media != nil {
 		sys.Media.StopOwned(a.Proc)
 	}
-	sys.Binder.Unregister("app." + a.Cfg.Label)
+	name := "app." + a.Cfg.Label
+	svc, hadSvc := sys.Binder.Lookup(name)
+	sys.Binder.Unregister(name)
 	if a.Surface != nil {
 		a.Surface.Visible = false
 	}
@@ -170,7 +185,7 @@ func (sys *System) KillApp(ex *kernel.Exec, a *App) {
 	for _, h := range a.HelperProcs {
 		sys.K.KillProcess(h)
 	}
-	sys.noteDead(a)
-	// Kernel-side exit bookkeeping: task teardown, address-space unmap.
-	ex.Syscall(6000, 1500)
+	if hadSvc {
+		sys.Binder.AbortPending(svc)
+	}
 }

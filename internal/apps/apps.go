@@ -98,43 +98,24 @@ func ByName(name string) (*Workload, error) {
 	return w, nil
 }
 
-// Launch builds the benchmark application process (named "benchmark", as in
-// the paper's process legends) and starts the workload.
-func Launch(sys *android.System, w *Workload) *android.App {
-	cfg := android.AppConfig{
-		Process:      "benchmark",
-		Label:        w.Name,
-		ExtraLibs:    w.ExtraLibs,
-		Fullscreen:   !w.Background,
-		Foreground:   !w.Background,
-		AsyncWorkers: w.AsyncWorkers,
-		Helpers:      w.Helpers,
-	}
-	a := sys.NewApp(cfg)
-	a.OnInput = inputHandler(w)
-	a.Start(w.Main)
-	return a
-}
-
-// LaunchAs builds an application process for w under an explicit process
-// name — the multi-app entry point the scenario engine uses, so each
-// concurrent app attributes its references to its own process exactly the
-// way a single-app run attributes to "benchmark". The name also labels the
-// app's dex image, JNI stub library, and binder endpoint, so it must be
-// unique among live apps. noJIT disables the app VM's trace JIT (ablation
-// A1, applied per app).
-func LaunchAs(sys *android.System, w *Workload, name string, noJIT bool) *android.App {
-	cfg := android.AppConfig{
-		Process:      name,
-		Label:        name,
+// Launch forks an application process for w and starts the workload. A
+// single-app run names the process "benchmark" (the paper's process legends)
+// and labels it with the workload name; a scenario app uses its session name
+// for both, so each concurrent app attributes its references to its own
+// process. The label names the app's dex image, JNI stub library and binder
+// endpoint, so it must be unique among live apps. noJIT disables the app
+// VM's trace JIT (ablation A1).
+func Launch(sys *android.System, w *Workload, process, label string, noJIT bool) *android.App {
+	a := sys.NewApp(android.AppConfig{
+		Process:      process,
+		Label:        label,
 		ExtraLibs:    w.ExtraLibs,
 		Fullscreen:   !w.Background,
 		Foreground:   !w.Background,
 		AsyncWorkers: w.AsyncWorkers,
 		Helpers:      w.Helpers,
 		NoJIT:        noJIT,
-	}
-	a := sys.NewApp(cfg)
+	})
 	a.OnInput = inputHandler(w)
 	a.Start(w.Main)
 	return a

@@ -84,7 +84,7 @@ func launchAndRun(t *testing.T, name string, d sim.Ticks) *kernel.Kernel {
 	if err != nil {
 		t.Fatal(err)
 	}
-	Launch(sys, w)
+	Launch(sys, w, "benchmark", w.Name, false)
 	k.Run(d)
 	return k
 }

@@ -14,8 +14,8 @@ import (
 // install their own closures in their Main bodies) seeks through the media
 // stack.
 
-// inputHandler picks the workload's default handler by category. Launch and
-// LaunchAs install it before the main body runs; bodies that want richer
+// inputHandler picks the workload's default handler by category. Launch
+// installs it before the main body runs; bodies that want richer
 // behavior (media seeks need the player handle) overwrite App.OnInput.
 func inputHandler(w *Workload) func(ex *kernel.Exec, a *android.App, ev *android.InputEvent) {
 	if w.Category == "game" {

@@ -22,7 +22,7 @@ func TestTapScrubsMediaPlayerThroughDispatcher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	Launch(sys, w)
+	Launch(sys, w, "benchmark", w.Name, false)
 	k.SpawnThread(sys.SystemServer, "test-input", "test-input", func(ex *kernel.Exec) {
 		ex.PushCode(sys.SystemServer.Layout.Text)
 		for _, at := range []sim.Ticks{350, 600, 850} {

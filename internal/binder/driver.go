@@ -41,7 +41,6 @@ type Handler func(ex *kernel.Exec, txn *Transaction)
 
 // Service is a registered Binder endpoint.
 type Service struct {
-	Name    string
 	Proc    *kernel.Process
 	Handler Handler
 
@@ -143,7 +142,6 @@ func (d *Driver) Register(proc *kernel.Process, name string, nThreads int, h Han
 		panic(fmt.Sprintf("binder: duplicate service %q", name))
 	}
 	s := &Service{
-		Name:    name,
 		Proc:    proc,
 		Handler: h,
 		queue:   d.k.NewMsgQueue("binder." + name),
@@ -244,6 +242,9 @@ func (d *Driver) Call(ex *kernel.Exec, service string, code int32, data *Parcel)
 			return nil, ferr
 		}
 	}
+	if d.services[service] != s {
+		return nil, deadReply(service)
+	}
 	txn := d.getTxn(code, data, ex.T, false)
 	ex.Send(s.queue, txn)
 	for !txn.done {
@@ -253,7 +254,7 @@ func (d *Driver) Call(ex *kernel.Exec, service string, code int32, data *Parcel)
 		// DEAD_REPLY: the service died with this transaction still queued.
 		ex.Syscall(ioctlFetch/3, ioctlData/3)
 		d.putTxn(txn)
-		return nil, fmt.Errorf("binder: transaction to %q aborted: service died", service)
+		return nil, deadReply(service)
 	}
 	// Reply lands in the client's binder buffer and is read out.
 	ex.Syscall(ioctlFetch/3, ioctlData/3)
@@ -287,6 +288,9 @@ func (d *Driver) CallOneway(ex *kernel.Exec, service string, code int32, data *P
 			return ferr
 		}
 	}
+	if d.services[service] != s {
+		return deadReply(service)
+	}
 	txn := d.getTxn(code, data, ex.T, true)
 	ex.Send(s.queue, txn)
 	return nil
@@ -294,10 +298,12 @@ func (d *Driver) CallOneway(ex *kernel.Exec, service string, code int32, data *P
 
 // AbortPending completes every queued-but-unserved transaction of a dead
 // service with an error, waking the senders — binder's DEAD_REPLY path.
-// Callers kill the service's process (and its binder pool) first;
-// AbortPending then releases any client that had already queued a
-// transaction, while later calls fail at lookup once the name is
-// unregistered. It reports how many transactions were aborted.
+// Callers kill the service's process (and its binder pool) and unregister
+// it first; AbortPending then releases any client that had already queued a
+// transaction. Later calls fail at lookup, and a call that looked the
+// service up before it died fails when it re-checks the registration after
+// its client-side ioctl, so nothing is queued to the dead service
+// afterwards. It reports how many transactions were aborted.
 func (d *Driver) AbortPending(s *Service) int {
 	n := 0
 	for {
@@ -315,6 +321,11 @@ func (d *Driver) AbortPending(s *Service) int {
 		n++
 	}
 	return n
+}
+
+// deadReply is the error a transaction to a service that died gets.
+func deadReply(service string) error {
+	return fmt.Errorf("binder: transaction to %q aborted: service died", service)
 }
 
 // kernelText resolves the kernel region of p (every process maps one).

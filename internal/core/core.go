@@ -120,6 +120,9 @@ func IsSPEC(name string) bool {
 // launched, warmed up, and then measured for cfg.Duration of steady-state
 // execution.
 func Run(name string, cfg Config) (*Result, error) {
+	if err := cfg.check(name); err != nil {
+		return nil, err
+	}
 	if IsSPEC(name) {
 		return runSPEC(name, cfg)
 	}
@@ -130,10 +133,7 @@ func Run(name string, cfg Config) (*Result, error) {
 	sys := boot(kernel.Config{Quantum: cfg.Quantum, Seed: cfg.Seed}, cfg)
 	k := sys.K
 	defer k.Shutdown()
-	app := apps.Launch(sys, w)
-	if cfg.DisableJIT {
-		app.VM.JITEnabled = false
-	}
+	apps.Launch(sys, w, "benchmark", w.Name, cfg.DisableJIT)
 	// Warmup: boot, app launch, first frames.
 	warmUp(k, cfg)
 	k.Run(cfg.Warmup + cfg.Duration)
@@ -158,29 +158,20 @@ func runSPEC(name string, cfg Config) (*Result, error) {
 	return r, nil
 }
 
-// RunScenario executes one bundled multi-app scenario by name; see
-// RunScenarioDef. The result's Benchmark field carries the scenario name.
-func RunScenario(name string, cfg Config) (*Result, error) {
-	sc, err := scenario.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	return RunScenarioDef(sc, cfg)
-}
-
-// RunScenarioDef executes a scenario definition directly — the entry point
-// for sessions that are not in the bundled registry: documents decoded from
-// scenario files and generator output. The definition is validated before
-// anything boots, so an ill-formed ad-hoc scenario fails cleanly. The
-// session is measured like a single-app run — boot, warm up, reset the
-// counters, measure — with the timeline scripted across the measured
-// interval, and every reference attributed per process.
+// RunScenarioDef executes a multi-app scenario: a bundled one
+// (scenario.ByName), a document decoded from a scenario file, or generator
+// output. The definition and cfg are validated before anything boots, so an
+// ill-formed ad-hoc scenario fails cleanly. The session is measured like a
+// single-app run — boot, warm up, reset the counters, measure — with the
+// timeline scripted across the measured interval, and every reference
+// attributed per process. The result's Benchmark field carries the scenario
+// name.
 func RunScenarioDef(sc *scenario.Scenario, cfg Config) (*Result, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Duration <= 0 {
-		return nil, fmt.Errorf("scenario %s: non-positive duration", sc.Name)
+	if err := cfg.check("scenario " + sc.Name); err != nil {
+		return nil, err
 	}
 	// Scenario machines always run the memory-pressure model on the 1 GB
 	// device: backgrounded apps can die because the system is out of
@@ -202,6 +193,17 @@ func RunScenarioDef(sc *scenario.Scenario, cfg Config) (*Result, error) {
 	r := collect(sc.Name, k)
 	r.Session = session
 	return r, nil
+}
+
+// check rejects a configuration no run kind can measure: an empty measured
+// interval would report all-zero counters as a result. (Ticks are unsigned,
+// so a negative warmup cannot be expressed here; the CLI rejects one before
+// converting it.) name prefixes the error.
+func (cfg Config) check(name string) error {
+	if cfg.Duration == 0 {
+		return fmt.Errorf("%s: non-positive duration", name)
+	}
+	return nil
 }
 
 // boot creates a kernel from kc and boots the Android stack on it, with
@@ -253,11 +255,15 @@ func RunOne(base Config, s suite.RunSpec) (*Result, sim.Ticks, error) {
 	cfg := base.forSpec(s)
 	var r *Result
 	var err error
-	if s.Scenario && s.Def != nil {
+	switch {
+	case s.Scenario && s.Def != nil:
 		r, err = RunScenarioDef(s.Def, cfg)
-	} else if s.Scenario {
-		r, err = RunScenario(s.Benchmark, cfg)
-	} else {
+	case s.Scenario:
+		var sc *scenario.Scenario
+		if sc, err = scenario.ByName(s.Benchmark); err == nil {
+			r, err = RunScenarioDef(sc, cfg)
+		}
+	default:
 		r, err = Run(s.Benchmark, cfg)
 	}
 	if err != nil {

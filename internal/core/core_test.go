@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"agave/internal/mem"
+	"agave/internal/scenario"
 	"agave/internal/sim"
 	"agave/internal/stats"
 )
@@ -14,6 +15,15 @@ func quickCfg() Config {
 	cfg.Duration = 400 * sim.Millisecond
 	cfg.Warmup = 200 * sim.Millisecond
 	return cfg
+}
+
+// runBundled runs the bundled scenario name.
+func runBundled(name string, cfg Config) (*Result, error) {
+	sc, err := scenario.ByName(name)
+	if err != nil {
+		return nil, err
+	}
+	return RunScenarioDef(sc, cfg)
 }
 
 func TestSuiteNames(t *testing.T) {
@@ -29,6 +39,22 @@ func TestSuiteNames(t *testing.T) {
 func TestRunUnknown(t *testing.T) {
 	if _, err := Run("nope", quickCfg()); err == nil {
 		t.Fatal("unknown benchmark accepted")
+	}
+}
+
+// TestRunRejectsEmptyInterval: every run kind refuses a zero measured
+// interval instead of returning an empty measurement.
+func TestRunRejectsEmptyInterval(t *testing.T) {
+	cfg := quickCfg()
+	cfg.Duration = 0
+	for name, run := range map[string]func() (*Result, error){
+		"agave":    func() (*Result, error) { return Run("countdown.main", cfg) },
+		"spec":     func() (*Result, error) { return Run("401.bzip2", cfg) },
+		"scenario": func() (*Result, error) { return runBundled("memory-storm", cfg) },
+	} {
+		if _, err := run(); err == nil {
+			t.Errorf("%s run at duration 0: nil error, want a rejection", name)
+		}
 	}
 }
 
@@ -250,7 +276,7 @@ func TestCensusConservation(t *testing.T) {
 	}{
 		{"agave", func() (*Result, error) { return Run("countdown.main", quickCfg()) }},
 		{"spec", func() (*Result, error) { return Run("401.bzip2", quickCfg()) }},
-		{"scenario", func() (*Result, error) { return RunScenario("memory-storm", quickCfg()) }},
+		{"scenario", func() (*Result, error) { return runBundled("memory-storm", quickCfg()) }},
 	} {
 		t.Run(tc.kind, func(t *testing.T) {
 			r, err := tc.run()

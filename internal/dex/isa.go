@@ -56,10 +56,6 @@ const (
 	numOps
 )
 
-// NumOps is the number of defined opcodes; interpreters size their dispatch
-// tables with it.
-const NumOps = int(numOps)
-
 var opNames = [...]string{
 	OpNop: "nop", OpConst: "const", OpMove: "move", OpAdd: "add",
 	OpSub: "sub", OpMul: "mul", OpDiv: "div", OpRem: "rem", OpAnd: "and",

@@ -26,7 +26,6 @@ type ioRequest struct {
 
 // BlockDevice models the storage device plus its ata_sff/0 service thread.
 type BlockDevice struct {
-	k     *Kernel
 	queue *MsgQueue
 	proc  *Process
 
@@ -35,7 +34,7 @@ type BlockDevice struct {
 }
 
 func newBlockDevice(k *Kernel) *BlockDevice {
-	d := &BlockDevice{k: k, queue: k.NewMsgQueue("ata.requests")}
+	d := &BlockDevice{queue: k.NewMsgQueue("ata.requests")}
 	d.proc = k.NewKernelProcess("ata_sff/0")
 	k.SpawnThread(d.proc, "ata_sff/0", "ata_sff/0", d.serviceLoop)
 	return d

@@ -10,15 +10,12 @@ import (
 
 // Config sets the tunables of a kernel instance.
 type Config struct {
-	// Quantum is the scheduler time slice.
+	// Quantum is the scheduler time slice; zero means defaultQuantum (1 ms).
 	Quantum sim.Ticks
 	// Seed records the run's seed. No kernel decision reads it: the
 	// machine is deterministic, so configurations that differ only in
 	// Seed run identically.
 	Seed uint64
-	// IdleRefDivisor controls how many kernel references the swapper idle
-	// loop generates: one instruction fetch per IdleRefDivisor idle ticks.
-	IdleRefDivisor sim.Ticks
 	// MemPages is the machine's physical page budget. Resident pages are
 	// always accounted; a zero budget leaves the machine effectively
 	// infinite, so nothing is ever short of memory.
@@ -30,14 +27,13 @@ type Config struct {
 	MinFree []MinFree
 }
 
-// DefaultConfig mirrors a HZ=1000ish Gingerbread kernel: 1 ms quanta.
-func DefaultConfig() Config {
-	return Config{
-		Quantum:        1 * sim.Millisecond,
-		Seed:           1,
-		IdleRefDivisor: 2048,
-	}
-}
+const (
+	// defaultQuantum mirrors a HZ=1000ish Gingerbread kernel: 1 ms quanta.
+	defaultQuantum = 1 * sim.Millisecond
+	// idleRefDivisor sets how many kernel references the swapper idle loop
+	// generates: one instruction fetch per idleRefDivisor idle ticks.
+	idleRefDivisor sim.Ticks = 2048
+)
 
 // Kernel is the whole simulated machine: clock, scheduler, process table,
 // timers, devices, and the stats collector that receives every attributed
@@ -54,13 +50,8 @@ type Kernel struct {
 	procs   []*Process
 	threads []*Thread
 
-	// runq is a head-indexed ring: dequeue pops runq[runqHead] (nilling the
-	// slot so exited threads are not retained) and append reuses the slack
-	// ahead of the head before growing. Slicing the head off instead
-	// (runq = runq[1:]) permanently walks the slice base forward, forcing
-	// append to reallocate on nearly every enqueue.
-	runq     []*Thread
-	runqHead int
+	// runq is the round-robin run queue.
+	runq fifo[*Thread]
 
 	// ctxFree recycles the cpu contexts of exited threads: the goroutine is
 	// gone and both handoff channels are empty, so the struct and channels
@@ -96,10 +87,7 @@ type Kernel struct {
 // exist; no user processes yet.
 func New(cfg Config) *Kernel {
 	if cfg.Quantum == 0 {
-		cfg.Quantum = DefaultConfig().Quantum
-	}
-	if cfg.IdleRefDivisor == 0 {
-		cfg.IdleRefDivisor = DefaultConfig().IdleRefDivisor
+		cfg.Quantum = defaultQuantum
 	}
 	k := &Kernel{
 		Stats:   stats.NewCollector(),
@@ -168,29 +156,19 @@ func (k *Kernel) ThreadCount() int { return len(k.threads) }
 
 func (k *Kernel) enqueue(t *Thread) {
 	t.State = StateRunnable
-	if k.runqHead > 0 && len(k.runq) == cap(k.runq) {
-		n := copy(k.runq, k.runq[k.runqHead:])
-		clear(k.runq[n:])
-		k.runq = k.runq[:n]
-		k.runqHead = 0
-	}
-	k.runq = append(k.runq, t)
+	k.runq.push(t)
 }
 
 func (k *Kernel) dequeue() *Thread {
-	for k.runqHead < len(k.runq) {
-		t := k.runq[k.runqHead]
-		k.runq[k.runqHead] = nil
-		k.runqHead++
-		if k.runqHead == len(k.runq) {
-			k.runq = k.runq[:0]
-			k.runqHead = 0
+	for {
+		t, ok := k.runq.pop()
+		if !ok {
+			return nil
 		}
 		if t.State == StateRunnable && t.ctx != nil && !t.ctx.Exited() {
 			return t
 		}
 	}
-	return nil
 }
 
 // reclaimCtx returns an exited thread's cpu context to the free list for the
@@ -265,7 +243,7 @@ func (k *Kernel) idle(deadline sim.Ticks) {
 		next = k.Clock.Now() + 1
 	}
 	idleTicks := next - k.Clock.Now()
-	refs := uint64(idleTicks / k.Cfg.IdleRefDivisor)
+	refs := uint64(idleTicks / idleRefDivisor)
 	if refs > 0 {
 		kv := k.Swapper.Layout.Kernel
 		k.Stats.Add(k.Swapper.StatID, k.swapT.StatID, kv.Region, stats.IFetch, refs)

@@ -9,15 +9,10 @@ package kernel
 //	}
 //
 // is free of lost wakeups by construction.
-//
-// waiters is a head-indexed ring (see Kernel.runq): popping by slicing the
-// head off would walk the slice base forward and force append to reallocate
-// on nearly every wait.
 type WaitQueue struct {
 	k       *Kernel
 	Name    string
-	waiters []*Thread
-	head    int
+	waiters fifo[*Thread]
 }
 
 // NewWaitQueue returns an empty queue. The name is for diagnostics only.
@@ -40,46 +35,21 @@ func (k *Kernel) NewWaitQueue(name string) *WaitQueue {
 func (k *Kernel) InitWaitQueue(wq *WaitQueue, name string) {
 	wq.k = k
 	wq.Name = name
-	wq.waiters = wq.waiters[:0]
-	wq.head = 0
-}
-
-func (wq *WaitQueue) push(t *Thread) {
-	if wq.head > 0 && len(wq.waiters) == cap(wq.waiters) {
-		n := copy(wq.waiters, wq.waiters[wq.head:])
-		clear(wq.waiters[n:])
-		wq.waiters = wq.waiters[:n]
-		wq.head = 0
-	}
-	wq.waiters = append(wq.waiters, t)
-}
-
-func (wq *WaitQueue) pop() (*Thread, bool) {
-	if wq.head == len(wq.waiters) {
-		return nil, false
-	}
-	t := wq.waiters[wq.head]
-	wq.waiters[wq.head] = nil
-	wq.head++
-	if wq.head == len(wq.waiters) {
-		wq.waiters = wq.waiters[:0]
-		wq.head = 0
-	}
-	return t, true
+	wq.waiters.reset()
 }
 
 // Wait blocks the calling thread on wq until another thread wakes it. The
 // futex-syscall cost is charged on entry.
 func (ex *Exec) Wait(wq *WaitQueue) {
 	ex.Syscall(180, 30)
-	wq.push(ex.T)
+	wq.waiters.push(ex.T)
 	ex.ctx.Block()
 }
 
 // WaitFree blocks without charging a syscall (for callers that already
 // accounted the kernel entry themselves).
 func (ex *Exec) WaitFree(wq *WaitQueue) {
-	wq.push(ex.T)
+	wq.waiters.push(ex.T)
 	ex.ctx.Block()
 }
 
@@ -87,7 +57,7 @@ func (ex *Exec) WaitFree(wq *WaitQueue) {
 // woken.
 func (wq *WaitQueue) WakeOne() bool {
 	for {
-		t, ok := wq.pop()
+		t, ok := wq.waiters.pop()
 		if !ok {
 			return false
 		}
@@ -109,16 +79,14 @@ func (wq *WaitQueue) WakeAll() int {
 
 // MsgQueue is a deterministic FIFO mailbox built on two wait queues. It
 // backs Android Looper message queues, Binder transaction queues, media
-// buffer queues, and the storage request queue. msgs is a head-indexed ring
-// like WaitQueue.waiters.
+// buffer queues, and the storage request queue.
 type MsgQueue struct {
 	Name string
 	// notEmpty is embedded by value: a mailbox and its wait queue have
 	// identical lifetimes, so splitting them across two allocations only
 	// added per-queue cost (every process spawn creates several).
 	notEmpty WaitQueue
-	msgs     []any
-	head     int
+	msgs     fifo[any]
 }
 
 // NewMsgQueue returns an empty unbounded mailbox. Mailboxes come out of a
@@ -141,13 +109,7 @@ func (k *Kernel) NewMsgQueue(name string) *MsgQueue {
 // allocation; the looper and input paths rely on that.
 func (ex *Exec) Send(q *MsgQueue, m any) {
 	ex.Syscall(140, 24)
-	if q.head > 0 && len(q.msgs) == cap(q.msgs) {
-		n := copy(q.msgs, q.msgs[q.head:])
-		clear(q.msgs[n:])
-		q.msgs = q.msgs[:n]
-		q.head = 0
-	}
-	q.msgs = append(q.msgs, m)
+	q.msgs.push(m)
 	q.notEmpty.WakeOne()
 }
 
@@ -161,29 +123,12 @@ func (ex *Exec) Recv(q *MsgQueue) any {
 }
 
 // TryRecv dequeues without blocking; ok is false when the queue is empty.
-func (q *MsgQueue) TryRecv() (m any, ok bool) {
-	if q.head == len(q.msgs) {
-		return nil, false
-	}
-	m = q.msgs[q.head]
-	q.msgs[q.head] = nil
-	q.head++
-	if q.head == len(q.msgs) {
-		q.msgs = q.msgs[:0]
-		q.head = 0
-	}
-	return m, true
-}
+func (q *MsgQueue) TryRecv() (m any, ok bool) { return q.msgs.pop() }
 
 // Peek returns the oldest queued message without dequeuing it; ok is false
 // when the queue is empty. The ANR watchdog uses it to age a looper's head
 // message without stealing work from the looper's own thread.
-func (q *MsgQueue) Peek() (m any, ok bool) {
-	if q.head == len(q.msgs) {
-		return nil, false
-	}
-	return q.msgs[q.head], true
-}
+func (q *MsgQueue) Peek() (m any, ok bool) { return q.msgs.peek() }
 
 // Len reports queued message count.
-func (q *MsgQueue) Len() int { return len(q.msgs) - q.head }
+func (q *MsgQueue) Len() int { return q.msgs.len() }

@@ -15,10 +15,6 @@ const (
 	RegionGralloc     = "gralloc-buffer"
 	RegionFramebuffer = "fb0 (frame buffer)"
 	RegionLibDVM      = "libdvm.so"
-	RegionLibSkia     = "libskia.so"
-	RegionLibC        = "libc.so"
-	RegionStagefright = "libstagefright.so"
-	RegionCR3Engine   = "libcr3engine-3-1-1.so"
 )
 
 // Classic 32-bit ARM Linux layout anchors (Gingerbread era).

@@ -60,7 +60,7 @@ type eventDoc struct {
 }
 
 // kindNames maps the wire spelling of every event kind, in declaration
-// order; it is the inverse of Kind.String. The doccover analyzer reads this
+// order; Kind.String indexes it and ParseKind inverts it. The doccover analyzer reads this
 // literal to hold docs/SCENARIOS.md to the full kind set.
 var kindNames = []string{
 	"launch", "switchto", "background", "kill", "idle", "pressure",

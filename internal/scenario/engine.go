@@ -160,7 +160,7 @@ func (s *Session) apply(ex *kernel.Exec, ev Event) {
 	switch ev.Kind {
 	case Launch:
 		w := s.byName[ev.App]
-		a := apps.LaunchAs(sys, w, ev.App, s.disableJIT)
+		a := apps.Launch(sys, w, ev.App, ev.App, s.disableJIT)
 		s.live[ev.App] = a
 		if !w.Background {
 			// The launched activity takes the foreground; whoever held
@@ -233,7 +233,7 @@ func (s *Session) crashService(ex *kernel.Exec, ev Event) {
 		s.foreground = ""
 	}
 	w := s.byName[ev.App]
-	restarted := apps.LaunchAs(sys, w, ev.App, s.disableJIT)
+	restarted := apps.Launch(sys, w, ev.App, ev.App, s.disableJIT)
 	s.live[ev.App] = restarted
 	sys.Inject.NoteRecovered()
 	if w.Background {

@@ -100,33 +100,8 @@ const (
 
 // String names the event kind as scripts spell it.
 func (k Kind) String() string {
-	switch k {
-	case Launch:
-		return "launch"
-	case SwitchTo:
-		return "switchto"
-	case Background:
-		return "background"
-	case Kill:
-		return "kill"
-	case Idle:
-		return "idle"
-	case Pressure:
-		return "pressure"
-	case Tap:
-		return "tap"
-	case Key:
-		return "key"
-	case Swipe:
-		return "swipe"
-	case FaultBinder:
-		return "faultBinder"
-	case CrashService:
-		return "crashService"
-	case KillMediaserver:
-		return "killMediaserver"
-	case CorruptParcel:
-		return "corruptParcel"
+	if int(k) < len(kindNames) {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }

@@ -136,7 +136,7 @@ func TestPauseParksForegroundApp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := apps.LaunchAs(sys, w, "game", false)
+	a := apps.Launch(sys, w, "game", "game", false)
 	k.Run(80 * sim.Millisecond)
 	if a.Paused() {
 		t.Fatal("app paused before any pause request")
